@@ -1,7 +1,11 @@
 //! Ground-service micro-benchmark: sharded vs. single-lock reference
 //! ingest at 1 / 4 / 8 worker threads, so the concurrency win of
 //! `ShardedReferenceStore` is measured rather than asserted, plus the
-//! constellation pass scheduler on a full contact round.
+//! constellation pass scheduler on a full contact round — once on the
+//! in-memory store with cold caches, once on the durable replicated store
+//! with warm caches and a day's fresh captures ingested between passes,
+//! the steady state of a running ground segment, where every store read
+//! is a disk read, a CRC check and a decode.
 //!
 //! Note: on a single-core host the thread counts cannot scale and the
 //! sharded and single-lock stores should measure at parity (sharding adds
@@ -16,9 +20,11 @@
 //! parallel".
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
-use earthplus::{ReferenceImage, ReferencePool};
+use earthplus::{ReferenceImage, ReferencePool, TelemetrySink, TraceSink};
 use earthplus_ground::{
-    ConstellationScheduler, ContactWindow, EvictingReferenceCache, ShardedReferenceStore,
+    ConstellationScheduler, ContactWindow, EvictingReferenceCache, ReferenceBackend,
+    ReplicatedReferenceStore, ShardedReferenceStore, StationSetConfig,
+    DEFAULT_REFERENCE_DOWNSAMPLE,
 };
 use earthplus_orbit::SatelliteId;
 use earthplus_raster::{Band, LocationId, Raster};
@@ -164,5 +170,102 @@ fn bench_pass_scheduling(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_ingest, bench_pass_scheduling);
+/// A 10×10-sample reference (a 510 px capture at the default downsample)
+/// whose content changes from one capture day to the next.
+fn lowres_reference(location: u32, band: Band, day: u32) -> ReferenceImage {
+    let side = 10;
+    ReferenceImage {
+        location: LocationId(location),
+        band,
+        captured_day: day as f64,
+        lowres: Raster::filled(side, side, ((location + day) % 7) as f32 / 7.0),
+        downsample: DEFAULT_REFERENCE_DOWNSAMPLE,
+        full_width: side * DEFAULT_REFERENCE_DOWNSAMPLE,
+        full_height: side * DEFAULT_REFERENCE_DOWNSAMPLE,
+    }
+}
+
+fn bench_durable_pass(c: &mut Criterion) {
+    // The mission benchmark's `ground_uplink` shape: 256 locations x 4
+    // bands, 48 satellites, ~62 clear captures a day.
+    const LOCATIONS: u32 = 256;
+    const SATELLITES: u32 = 48;
+    const CAPTURES_PER_DAY: u32 = 62;
+    let dir = std::env::temp_dir().join(format!("earthplus-bench-plan-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let (store, _) = ReplicatedReferenceStore::open(
+        &dir,
+        ShardedReferenceStore::DEFAULT_SHARDS,
+        StationSetConfig::default(),
+        None,
+        &TelemetrySink::disabled(),
+        &TraceSink::disabled(),
+    )
+    .expect("bench store opens");
+    let bands = Band::planet_all();
+    let targets: Vec<(LocationId, Band)> = (0..LOCATIONS)
+        .flat_map(|l| bands.iter().map(move |&b| (LocationId(l), b)))
+        .collect();
+    let contacts_on = |day: u32| -> Vec<ContactWindow> {
+        (0..SATELLITES)
+            .map(|s| ContactWindow {
+                satellite: SatelliteId(s),
+                day: day as f64 + 0.5,
+                budget_bytes: 18_750_000,
+            })
+            .collect()
+    };
+    // Seed the catalogue and warm every satellite's cache with it.
+    let seed = targets
+        .iter()
+        .map(|&(l, b)| lowres_reference(l.0, b, 0))
+        .collect();
+    store.ingest_batch(seed, 1);
+    let scheduler = ConstellationScheduler::new(0.01);
+    let mut caches = HashMap::new();
+    scheduler.plan_pass(
+        &store,
+        &mut caches,
+        &targets,
+        &contacts_on(0),
+        EvictingReferenceCache::default,
+    );
+
+    let mut day = 0;
+    let mut group = c.benchmark_group("ground_scheduler_durable");
+    group.bench_function("plan_pass_durable_48_sats_1024_targets", |b| {
+        b.iter_batched(
+            || {
+                // Untimed: the day's clear captures land in the store.
+                day += 1;
+                let captures = (0..CAPTURES_PER_DAY)
+                    .map(|i| (day * CAPTURES_PER_DAY + i) % LOCATIONS)
+                    .flat_map(|l| bands.iter().map(move |&b| lowres_reference(l, b, day)))
+                    .collect();
+                store.ingest_batch(captures, 1);
+                contacts_on(day)
+            },
+            |contacts| {
+                scheduler.plan_pass(
+                    &store,
+                    &mut caches,
+                    &targets,
+                    &contacts,
+                    EvictingReferenceCache::default,
+                )
+            },
+            BatchSize::LargeInput,
+        )
+    });
+    group.finish();
+    drop(store);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+criterion_group!(
+    benches,
+    bench_ingest,
+    bench_pass_scheduling,
+    bench_durable_pass
+);
 criterion_main!(benches);

@@ -11,6 +11,7 @@ use crate::reference::ReferenceImage;
 use earthplus_raster::{Band, LocationId};
 use earthplus_telemetry::{names, Counter, TelemetrySink};
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Relative weights of the two eviction signals.
 ///
@@ -134,6 +135,50 @@ impl Default for CacheCounters {
     }
 }
 
+/// Multiply-rotate hasher for the cache's `(LocationId, Band)` keys.
+///
+/// The scheduler peeks every satellite's cache once per target and pass,
+/// so key hashing is on the planning hot path, where SipHash costs
+/// several times this. The keys are a mission's own targets, not
+/// adversarial input, and a fixed hasher makes the map's iteration order
+/// the same in every process.
+#[derive(Debug, Default, Clone, Copy)]
+struct KeyHasher(u64);
+
+impl KeyHasher {
+    /// Odd multiplier with well-spread bits (the golden-ratio constant
+    /// rounded to odd, as in Fx-style hashers).
+    const K: u64 = 0x9E37_79B9_7F4A_7C15;
+
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(Self::K);
+    }
+}
+
+impl Hasher for KeyHasher {
+    fn finish(&self) -> u64 {
+        // The multiply leaves its best-mixed bits at the top; the map
+        // indexes buckets by the low ones.
+        self.0.rotate_left(26)
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.add(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.add(n as u64);
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.add(n as u64);
+    }
+}
+
 #[derive(Debug, Clone)]
 struct CacheEntry {
     reference: ReferenceImage,
@@ -144,7 +189,7 @@ struct CacheEntry {
 /// hybrid eviction policy and instrumentation.
 #[derive(Debug)]
 pub struct EvictingReferenceCache {
-    entries: HashMap<(LocationId, Band), CacheEntry>,
+    entries: HashMap<(LocationId, Band), CacheEntry, BuildHasherDefault<KeyHasher>>,
     capacity_bytes: Option<u64>,
     policy: EvictionPolicy,
     bytes: u64,
@@ -174,7 +219,7 @@ impl EvictingReferenceCache {
         counters: CacheCounters,
     ) -> Self {
         EvictingReferenceCache {
-            entries: HashMap::new(),
+            entries: HashMap::default(),
             capacity_bytes,
             policy,
             bytes: 0,
@@ -262,6 +307,9 @@ impl EvictingReferenceCache {
         }
     }
 
+    /// Evicts highest-scoring entries until the cache fits. Equal scores
+    /// (easy with integer days and ticks) go to the lowest
+    /// `(location, band)` key, so the victim never depends on map order.
     fn evict_to_capacity(&mut self, protect: (LocationId, Band)) {
         let Some(capacity) = self.capacity_bytes else {
             return;
@@ -279,6 +327,7 @@ impl EvictingReferenceCache {
                     score(a.1)
                         .partial_cmp(&score(b.1))
                         .expect("eviction scores are finite")
+                        .then(b.0.cmp(a.0))
                 })
                 .map(|(key, _)| *key);
             let Some(victim) = victim else { break };
@@ -422,6 +471,24 @@ mod tests {
         // it was installed more recently than the day-9 one.
         assert!(cache.peek(LocationId(1), red()).is_none());
         assert!(cache.peek(LocationId(0), red()).is_some());
+    }
+
+    #[test]
+    fn equal_scores_evict_lowest_key() {
+        let one = reference(0, 1.0).size_bytes();
+        for (low, high) in [(3, 5), (0, 1), (2, 40), (17, 18)] {
+            for (first, second) in [(low, high), (high, low)] {
+                // `first` is one tick less recent but one day fresher
+                // than `second`: both score 2 when location 100 arrives.
+                let mut cache = EvictingReferenceCache::new(Some(2 * one));
+                cache.install(reference(first, 2.0));
+                cache.install(reference(second, 1.0));
+                cache.install(reference(100, 2.0));
+                assert_eq!(cache.stats().evictions, 1);
+                assert!(cache.peek(LocationId(low), red()).is_none());
+                assert!(cache.peek(LocationId(high), red()).is_some());
+            }
+        }
     }
 
     #[test]

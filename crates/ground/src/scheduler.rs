@@ -15,6 +15,7 @@
 
 use crate::backend::ReferenceBackend;
 use crate::cache::EvictingReferenceCache;
+use crate::reference::ReferenceImage;
 use crate::uplink::{compute_delta, ReferenceDelta, UplinkReport};
 use earthplus_orbit::SatelliteId;
 use earthplus_raster::{Band, LocationId};
@@ -34,6 +35,8 @@ pub struct ContactWindow {
 
 struct Candidate {
     satellite: SatelliteId,
+    /// Index into the pass's `targets`, and so into its memoized reads.
+    target: usize,
     delta: ReferenceDelta,
     /// Freshness gain in days; infinite for a cold cache (a full install
     /// outranks any delta, matching the legacy greedy planner).
@@ -63,7 +66,13 @@ impl ConstellationScheduler {
     /// backend-agnostic: `store` may be the in-memory sharded store or
     /// the persistent log-structured one, and the plan is identical for
     /// identical store contents (candidates are totally ordered by
-    /// staleness, cost, location, and band).
+    /// staleness, cost, location, band, and satellite).
+    ///
+    /// The store is touched at most once per target and pass for each of
+    /// `fresh_day` and `get`: every target's freshness is probed once, and
+    /// a stale target's reference is read once, on the first satellite
+    /// that needs it, then shared by every other satellite's delta and by
+    /// any full re-send after a mid-pass eviction.
     ///
     /// Returns one [`UplinkReport`] per contact window, in input order.
     /// An update that fits in none of its satellite's windows is counted
@@ -100,11 +109,16 @@ impl ConstellationScheduler {
         }
 
         // Build the constellation-wide candidate queue.
+        let fresh: Vec<Option<f64>> = targets
+            .iter()
+            .map(|&(location, band)| store.fresh_day(location, band))
+            .collect();
+        let mut reads: Vec<Option<ReferenceImage>> = vec![None; targets.len()];
         let mut candidates: Vec<Candidate> = Vec::new();
         for &satellite in windows_of.keys() {
             let cache = caches.entry(satellite).or_insert_with(&new_cache);
-            for &(location, band) in targets {
-                let Some(pool_day) = store.fresh_day(location, band) else {
+            for (target, (&(location, band), &pool_day)) in targets.iter().zip(&fresh).enumerate() {
+                let Some(pool_day) = pool_day else {
                     continue;
                 };
                 let cached = cache.peek(location, band);
@@ -112,11 +126,12 @@ impl ConstellationScheduler {
                 if cached_day.is_some_and(|d| d >= pool_day) {
                     continue;
                 }
-                let pool_ref = store
-                    .get(location, band)
-                    .expect("probed reference still present");
-                let Some(delta) = compute_delta(&pool_ref, cache.peek(location, band), self.theta)
-                else {
+                let pool_ref = reads[target].get_or_insert_with(|| {
+                    store
+                        .get(location, band)
+                        .expect("probed reference still present")
+                });
+                let Some(delta) = compute_delta(pool_ref, cached, self.theta) else {
                     continue;
                 };
                 if delta.is_empty() {
@@ -129,6 +144,7 @@ impl ConstellationScheduler {
                 let cost = delta.size_bytes();
                 candidates.push(Candidate {
                     satellite,
+                    target,
                     delta,
                     staleness,
                     cost,
@@ -145,6 +161,7 @@ impl ConstellationScheduler {
                 .then(a.cost.cmp(&b.cost))
                 .then(a.delta.location.cmp(&b.delta.location))
                 .then(a.delta.band.cmp(&b.delta.band))
+                .then(a.satellite.cmp(&b.satellite))
         });
 
         let mut remaining: Vec<u64> = contacts.iter().map(|c| c.budget_bytes).collect();
@@ -158,10 +175,10 @@ impl ConstellationScheduler {
             // would patch nothing — re-send in full at its real cost.
             let (location, band) = (candidate.delta.location, candidate.delta.band);
             let delta = if candidate.delta.full.is_none() && cache.peek(location, band).is_none() {
-                let pool_ref = store
-                    .get(location, band)
-                    .expect("probed reference still present");
-                match compute_delta(&pool_ref, None, self.theta) {
+                let pool_ref = reads[candidate.target]
+                    .as_ref()
+                    .expect("queued candidate's reference was read");
+                match compute_delta(pool_ref, None, self.theta) {
                     Some(delta) => delta,
                     None => continue,
                 }
@@ -200,6 +217,53 @@ mod tests {
     use crate::reference::{ReferenceImage, DEFAULT_REFERENCE_DOWNSAMPLE};
     use crate::store::ShardedReferenceStore;
     use earthplus_raster::{PlanetBand, Raster};
+    use std::sync::atomic::{AtomicU64, Ordering};
+
+    /// The in-memory store, counting the reads the scheduler makes.
+    #[derive(Debug, Default)]
+    struct CountingStore {
+        inner: ShardedReferenceStore,
+        gets: AtomicU64,
+        probes: AtomicU64,
+    }
+
+    impl CountingStore {
+        /// `(get, fresh_day)` calls so far.
+        fn reads(&self) -> (u64, u64) {
+            (
+                self.gets.load(Ordering::Relaxed),
+                self.probes.load(Ordering::Relaxed),
+            )
+        }
+    }
+
+    impl ReferenceBackend for CountingStore {
+        fn offer(&self, reference: ReferenceImage) -> bool {
+            self.inner.offer(reference)
+        }
+
+        fn get(&self, location: LocationId, band: Band) -> Option<ReferenceImage> {
+            self.gets.fetch_add(1, Ordering::Relaxed);
+            self.inner.get(location, band)
+        }
+
+        fn fresh_day(&self, location: LocationId, band: Band) -> Option<f64> {
+            self.probes.fetch_add(1, Ordering::Relaxed);
+            self.inner.fresh_day(location, band)
+        }
+
+        fn len(&self) -> usize {
+            self.inner.len()
+        }
+
+        fn size_bytes(&self) -> u64 {
+            self.inner.size_bytes()
+        }
+
+        fn keys(&self) -> Vec<(LocationId, Band)> {
+            self.inner.keys()
+        }
+    }
 
     fn red() -> Band {
         Band::Planet(PlanetBand::Red)
@@ -443,5 +507,71 @@ mod tests {
                 .captured_day,
             9.0
         );
+    }
+
+    #[test]
+    fn pass_reads_each_target_once_however_many_satellites() {
+        // Four satellites, four targets: one cold cache, one stale, one
+        // fresh, one stale with identical content. Every stale target is
+        // read once for the whole pass, not once per satellite.
+        let store = CountingStore::default();
+        let targets: Vec<(LocationId, Band)> = (0..4).map(|l| (LocationId(l), red())).collect();
+        for l in 0..4 {
+            store.offer(make_ref(l, 9.0, |i| (i % 7) as f32 / 7.0));
+        }
+        let mut caches: HashMap<SatelliteId, EvictingReferenceCache> = HashMap::new();
+        for (sat, day) in [(1, 3.0), (2, 9.0)] {
+            let cache = caches.entry(SatelliteId(sat)).or_default();
+            for l in 0..4 {
+                cache.install(make_ref(l, day, |_| 0.4));
+            }
+        }
+        let cache = caches.entry(SatelliteId(3)).or_default();
+        for l in 0..4 {
+            cache.install(make_ref(l, 3.0, |i| (i % 7) as f32 / 7.0));
+        }
+        let contacts: Vec<ContactWindow> = (0..4).map(|s| window(s, 9.5, 1 << 20)).collect();
+        let reports = ConstellationScheduler::new(0.01).plan_pass(
+            &store,
+            &mut caches,
+            &targets,
+            &contacts,
+            EvictingReferenceCache::default,
+        );
+        let sent: Vec<usize> = reports.iter().map(|r| r.deltas_sent).collect();
+        assert_eq!(sent, [4, 4, 0, 0]);
+        let (gets, probes) = store.reads();
+        assert!(gets <= 4, "{gets} store reads for 4 targets");
+        assert!(probes <= 4, "{probes} freshness probes for 4 targets");
+    }
+
+    #[test]
+    fn mid_pass_eviction_resend_reuses_the_pass_read() {
+        // The capacity-bounded scenario of
+        // `mid_pass_eviction_triggers_full_resend_at_real_cost`: the full
+        // re-send of the evicted target must not read the store again.
+        let store = CountingStore::default();
+        store.offer(make_ref(0, 20.0, |_| 0.9));
+        store.offer(make_ref(1, 20.0, |_| 0.9));
+        let targets = vec![(LocationId(0), red()), (LocationId(1), red())];
+        let one = make_ref(0, 20.0, |_| 0.9).size_bytes();
+        let mut cache = EvictingReferenceCache::new(Some(one));
+        cache.install(make_ref(0, 2.0, |_| 0.4));
+        let mut caches = HashMap::from([(SatelliteId(0), cache)]);
+        let full_cost = compute_delta(&make_ref(1, 20.0, |_| 0.9), None, 0.01)
+            .unwrap()
+            .size_bytes();
+        let reports = ConstellationScheduler::new(0.01).plan_pass(
+            &store,
+            &mut caches,
+            &targets,
+            &[window(0, 20.5, 1 << 20)],
+            EvictingReferenceCache::default,
+        );
+        assert_eq!(reports[0].deltas_sent, 2);
+        assert_eq!(reports[0].bytes_used, 2 * full_cost, "re-sent in full");
+        let (gets, probes) = store.reads();
+        assert!(gets <= 2, "{gets} store reads for 2 targets");
+        assert!(probes <= 2, "{probes} freshness probes for 2 targets");
     }
 }

@@ -284,7 +284,9 @@ pub struct StationSetStats {
     pub outages: u64,
     /// Shard promotions after an outage.
     pub failovers: u64,
-    /// Reads served while a shard's whole ring was down.
+    /// Reads served while a shard's whole ring was down. These are
+    /// store reads: pass planning reads each stale target once per pass,
+    /// not once per satellite-target pair.
     pub degraded_serves: u64,
     /// Slow-disk stalls injected.
     pub disk_stalls: u64,

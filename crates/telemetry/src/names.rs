@@ -111,6 +111,9 @@ pub const STATION_OUTAGES: &str = "station.outages";
 /// Shards promoted from a replica after a station outage.
 pub const STATION_FAILOVERS: &str = "station.failovers";
 /// Reference reads served while a shard had no live station (degraded).
+/// It counts store reads, not uplinks: a contact pass reads each stale
+/// target once, however many satellites it updates, so one degraded
+/// target adds one per pass. Any value above zero is unhealthy.
 pub const STATION_DEGRADED_SERVES: &str = "station.degraded_serves";
 /// Slow-disk stall events injected/observed.
 pub const STATION_DISK_STALLS: &str = "station.disk_stalls";
