@@ -20,7 +20,7 @@
 //! parallel".
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
-use earthplus::{ReferenceImage, ReferencePool, TelemetrySink, TraceSink};
+use earthplus::{ReferenceImage, TelemetrySink, TraceSink};
 use earthplus_ground::{
     ConstellationScheduler, ContactWindow, EvictingReferenceCache, ReferenceBackend,
     ReplicatedReferenceStore, ShardedReferenceStore, StationSetConfig,
@@ -29,7 +29,6 @@ use earthplus_ground::{
 use earthplus_orbit::SatelliteId;
 use earthplus_raster::{Band, LocationId, Raster};
 use std::collections::HashMap;
-use std::sync::Mutex;
 
 /// A batch of downlinked references: several freshness generations over
 /// many (location, band) keys, like a busy day of constellation
@@ -57,30 +56,13 @@ fn downlink_batch() -> Vec<ReferenceImage> {
     batch
 }
 
-/// The single-lock baseline: one `Mutex<ReferencePool>` shared by the same
-/// worker pool, same moved-in offers. Every offer serializes on the one
-/// lock.
-fn ingest_single_lock(mut batch: Vec<ReferenceImage>, threads: usize) -> usize {
-    let pool = Mutex::new(ReferencePool::new());
-    let chunk = batch.len().div_ceil(threads).max(1);
-    let mut chunks: Vec<Vec<ReferenceImage>> = Vec::with_capacity(threads);
-    while batch.len() > chunk {
-        let tail = batch.split_off(batch.len() - chunk);
-        chunks.push(tail);
-    }
-    chunks.push(batch);
-    std::thread::scope(|scope| {
-        for chunk in chunks {
-            let pool = &pool;
-            scope.spawn(move || {
-                for reference in chunk {
-                    pool.lock().expect("pool poisoned").offer(reference);
-                }
-            });
-        }
-    });
-    let pool = pool.into_inner().expect("pool poisoned");
-    pool.len()
+/// Ingests `batch` on `threads` workers into a fresh store of `shards`
+/// shards. One shard is the single-lock baseline: the same worker pool
+/// and moved-in offers, but every offer serializes on the one lock.
+fn ingest(shards: usize, batch: Vec<ReferenceImage>, threads: usize) -> usize {
+    let store = ShardedReferenceStore::new(shards);
+    store.ingest_batch(batch, threads);
+    store.len()
 }
 
 fn bench_ingest(c: &mut Criterion) {
@@ -102,11 +84,7 @@ fn bench_ingest(c: &mut Criterion) {
             |b, &threads| {
                 b.iter_batched(
                     || batch.clone(),
-                    |batch| {
-                        let store = ShardedReferenceStore::default();
-                        store.ingest_batch(batch, threads);
-                        store.len()
-                    },
+                    |batch| ingest(ShardedReferenceStore::DEFAULT_SHARDS, batch, threads),
                     BatchSize::LargeInput,
                 )
             },
@@ -117,7 +95,7 @@ fn bench_ingest(c: &mut Criterion) {
             |b, &threads| {
                 b.iter_batched(
                     || batch.clone(),
-                    |batch| ingest_single_lock(batch, threads),
+                    |batch| ingest(1, batch, threads),
                     BatchSize::LargeInput,
                 )
             },

@@ -3,11 +3,14 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use earthplus::{
-    compute_delta, OnboardReferenceCache, ReferenceImage, ReferencePool, UplinkPlanner,
+    compute_delta, ConstellationScheduler, ContactWindow, EvictingReferenceCache, ReferenceImage,
+    ShardedReferenceStore,
 };
+use earthplus_orbit::SatelliteId;
 use earthplus_raster::{Band, LocationId, PlanetBand};
 use earthplus_scene::terrain::LocationArchetype;
 use earthplus_scene::{LocationScene, SceneConfig};
+use std::collections::HashMap;
 
 fn bench_reference(c: &mut Criterion) {
     let scene = LocationScene::new(SceneConfig::quick(13, LocationArchetype::Coastal));
@@ -26,7 +29,7 @@ fn bench_reference(c: &mut Criterion) {
     });
     group.bench_function("plan_contact_40_targets", |b| {
         // 10 locations x 4 bands awaiting updates under one contact budget.
-        let mut pool = ReferencePool::new();
+        let pool = ShardedReferenceStore::new(1);
         let mut targets = Vec::new();
         for loc in 0..10u32 {
             for band in Band::planet_all() {
@@ -37,10 +40,19 @@ fn bench_reference(c: &mut Criterion) {
                 targets.push((LocationId(loc), band));
             }
         }
-        let planner = UplinkPlanner::new(0.01);
+        let scheduler = ConstellationScheduler::new(0.01);
+        let contact = ContactWindow {
+            satellite: SatelliteId(0),
+            day: 45.0,
+            budget_bytes: 18_750_000,
+        };
         b.iter_batched(
-            OnboardReferenceCache::new,
-            |mut cache| planner.plan(&pool, &mut cache, &targets, 18_750_000),
+            HashMap::new,
+            |mut caches| {
+                scheduler.plan_pass(&pool, &mut caches, &targets, &[contact], || {
+                    EvictingReferenceCache::new(None)
+                })
+            },
             criterion::BatchSize::SmallInput,
         )
     });

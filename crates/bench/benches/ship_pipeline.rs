@@ -23,8 +23,7 @@
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use earthplus::{TelemetrySink, TraceSink};
 use earthplus_ground::{
-    PersistentReferenceStore, ReferenceBackend, ReferenceImage, ReplicatedReferenceStore,
-    ShipQueueConfig, StationSetConfig,
+    ReferenceBackend, ReferenceImage, ReplicatedReferenceStore, ShipQueueConfig, StationSetConfig,
 };
 use earthplus_raster::{Band, LocationId, PlanetBand, Raster};
 use earthplus_refstore::RefLogConfig;
@@ -129,8 +128,15 @@ fn bench_group_commit(c: &mut Criterion) {
         let tag = if fsync { "fsync" } else { "nofsync" };
         let open = |label: &str| {
             let dir = fresh_dir(label);
-            let (store, _) =
-                PersistentReferenceStore::open(&dir, 4, log).expect("bench store opens");
+            let (store, _) = ReplicatedReferenceStore::open(
+                &dir,
+                4,
+                StationSetConfig::one_station(log),
+                None,
+                &TelemetrySink::disabled(),
+                &TraceSink::disabled(),
+            )
+            .expect("bench store opens");
             (dir, store)
         };
         group.bench_with_input(

@@ -83,8 +83,7 @@ use earthplus_codec::{
     CodecConfig, CodecScratch, DecodeScratch, FormatVersion, StageBreakdown,
 };
 use earthplus_ground::{
-    PersistentReferenceStore, ReferenceBackend, ReferenceImage, ReplicatedReferenceStore,
-    ShipQueueConfig, StationSetConfig,
+    ReferenceBackend, ReferenceImage, ReplicatedReferenceStore, ShipQueueConfig, StationSetConfig,
 };
 use earthplus_orbit::SatelliteId;
 use earthplus_raster::{downsample_box, LocationId, Raster, TileGrid, TileMask};
@@ -518,33 +517,44 @@ fn main() {
     let mut grouped_times = Vec::new();
     let (mut per_record_fsyncs, mut grouped_fsyncs) = (0u64, 0u64);
     let (mut ship_sync_times, mut ship_pipelined_times) = (Vec::new(), Vec::new());
+    let open_station_set = |dir: &std::path::Path, stations: StationSetConfig| {
+        ReplicatedReferenceStore::open(
+            dir,
+            4,
+            stations,
+            None,
+            &earthplus::TelemetrySink::disabled(),
+            &earthplus::TraceSink::disabled(),
+        )
+        .expect("station set opens")
+        .0
+    };
     for rep in 0..ground_reps {
         let dir = scratch_root.join(format!("ingest-single-{rep}"));
-        let (store, _) = PersistentReferenceStore::open(&dir, 4, fsync_log).expect("store opens");
+        let store = open_station_set(&dir, StationSetConfig::one_station(fsync_log));
         let refs = burst.clone();
         let t = Instant::now();
         for reference in refs {
             store.offer(reference);
         }
         per_record_times.push(t.elapsed().as_secs_f64());
-        per_record_fsyncs = store.stats().fsyncs_issued;
+        per_record_fsyncs = store.stats().store.fsyncs_issued;
 
         let dir = scratch_root.join(format!("ingest-grouped-{rep}"));
-        let (store, _) = PersistentReferenceStore::open(&dir, 4, fsync_log).expect("store opens");
+        let store = open_station_set(&dir, StationSetConfig::one_station(fsync_log));
         let refs = burst.clone();
         let t = Instant::now();
         store.ingest_batch(refs, 1);
         grouped_times.push(t.elapsed().as_secs_f64());
-        grouped_fsyncs = store.stats().fsyncs_issued;
+        grouped_fsyncs = store.stats().store.fsyncs_issued;
 
         for (pipelined, times) in [
             (false, &mut ship_sync_times),
             (true, &mut ship_pipelined_times),
         ] {
             let dir = scratch_root.join(format!("ship-{pipelined}-{rep}"));
-            let (store, _) = ReplicatedReferenceStore::open(
+            let store = open_station_set(
                 &dir,
-                4,
                 StationSetConfig {
                     stations: 2,
                     replicas: 1,
@@ -554,11 +564,7 @@ fn main() {
                     },
                     ..StationSetConfig::default()
                 },
-                None,
-                &earthplus::TelemetrySink::disabled(),
-                &earthplus::TraceSink::disabled(),
-            )
-            .expect("station set opens");
+            );
             let refs = burst.clone();
             let t = Instant::now();
             for reference in refs {

@@ -118,11 +118,11 @@ impl CompressionStrategy for KodanStrategy {
         satellite: SatelliteId,
         _day: f64,
         uplink_budget_bytes: u64,
-    ) -> crate::uplink::UplinkReport {
+    ) -> earthplus_ground::UplinkReport {
         if let Some(p) = self.pending_bytes.get_mut(&satellite) {
             *p = 0;
         }
-        crate::uplink::UplinkReport {
+        earthplus_ground::UplinkReport {
             bytes_budget: uplink_budget_bytes,
             ..Default::default()
         }
@@ -336,11 +336,11 @@ impl CompressionStrategy for SatRoiStrategy {
         satellite: SatelliteId,
         _day: f64,
         uplink_budget_bytes: u64,
-    ) -> crate::uplink::UplinkReport {
+    ) -> earthplus_ground::UplinkReport {
         if let Some(p) = self.pending_bytes.get_mut(&satellite) {
             *p = 0;
         }
-        crate::uplink::UplinkReport {
+        earthplus_ground::UplinkReport {
             bytes_budget: uplink_budget_bytes,
             ..Default::default()
         }
@@ -438,11 +438,11 @@ impl CompressionStrategy for DownloadEverythingStrategy {
         satellite: SatelliteId,
         _day: f64,
         uplink_budget_bytes: u64,
-    ) -> crate::uplink::UplinkReport {
+    ) -> earthplus_ground::UplinkReport {
         if let Some(p) = self.pending_bytes.get_mut(&satellite) {
             *p = 0;
         }
-        crate::uplink::UplinkReport {
+        earthplus_ground::UplinkReport {
             bytes_budget: uplink_budget_bytes,
             ..Default::default()
         }

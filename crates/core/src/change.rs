@@ -7,7 +7,7 @@
 //! how much each pixel in the tile has changed" (§4.3). A deliberately low
 //! threshold θ compensates for the false negatives downsampling can cause.
 
-use crate::reference::ReferenceImage;
+use earthplus_ground::ReferenceImage;
 use earthplus_raster::{
     downsample_box, AlignmentModel, IlluminationAligner, Raster, RasterError, TileGrid, TileMask,
 };

@@ -10,12 +10,12 @@
 //! The crate wires together the workspace substrates:
 //!
 //! * [`change`] — downsampled-reference change detection with threshold θ;
-//! * [`mod@reference`] — the ground reference pool and the on-board cache;
-//! * [`uplink`] — delta-compressed reference uploads under 250 kbps;
 //! * [`earthplus_ground`] (re-exported here) — the concurrent ground
-//!   segment: sharded reference store, constellation-wide pass scheduler,
-//!   eviction-tracked cache model, and the [`GroundService`] facade the
-//!   Earth+ strategy drives;
+//!   segment: [`ReferenceImage`]s, delta-compressed reference uploads
+//!   under 250 kbps ([`compute_delta`]), the sharded in-memory and
+//!   durable reference stores, the constellation-wide pass scheduler, the
+//!   eviction-tracked on-board cache model, and the [`GroundService`]
+//!   facade the Earth+ strategy drives;
 //! * [`system`] — the Earth+ strategy (on-board pipeline + ground segment);
 //! * [`baselines`] — Kodan, SatRoI, and Download-Everything;
 //! * [`simulator`] — the mission driver running all strategies on
@@ -58,22 +58,20 @@ pub mod baselines;
 pub mod change;
 pub mod config;
 pub mod metrics;
-pub mod reference;
 pub mod simulator;
 pub mod storage;
 pub mod strategy;
 pub mod system;
 pub mod telemetry;
-pub mod uplink;
 
 pub use baselines::{DownloadEverythingStrategy, KodanStrategy, SatRoiStrategy};
 pub use change::{ChangeDetection, ChangeDetector};
 pub use config::{DovesSpec, EarthPlusConfig};
 pub use earthplus_ground::{
-    CacheStats, ConstellationScheduler, ContactWindow, EvictingReferenceCache, EvictionPolicy,
-    GroundService, GroundServiceConfig, GroundServiceStats, IngestReport, PersistentReferenceStore,
-    ReferenceBackend, ReferenceBackendConfig, ShardedReferenceStore, ShipQueueConfig,
-    StationSetConfig,
+    compute_delta, CacheStats, ConstellationScheduler, ContactWindow, EvictingReferenceCache,
+    EvictionPolicy, GroundService, GroundServiceConfig, GroundServiceStats, IngestReport,
+    ReferenceBackend, ReferenceBackendConfig, ReferenceDelta, ReferenceImage,
+    ShardedReferenceStore, ShipQueueConfig, StationSetConfig, UplinkReport,
 };
 pub use earthplus_telemetry::{
     evaluate_health, verdicts_table, FlightRecorder, HealthCheck, HealthRule, HealthStatus,
@@ -81,7 +79,6 @@ pub use earthplus_telemetry::{
     TelemetrySeries, TelemetrySink, TraceEvent, TraceEventKind, TraceId, TraceLog, TraceSink,
     TraceTrack,
 };
-pub use reference::{OnboardReferenceCache, ReferenceImage, ReferencePool};
 pub use simulator::{MissionReport, MissionSimulator, SimulationConfig};
 pub use storage::StorageModel;
 pub use strategy::{
@@ -90,7 +87,6 @@ pub use strategy::{
 };
 pub use system::EarthPlusStrategy;
 pub use telemetry::{StageRollup, TelemetryReport};
-pub use uplink::{compute_delta, ReferenceDelta, UplinkPlanner, UplinkReport};
 
 /// Everything a simulation driver typically needs.
 pub mod prelude {

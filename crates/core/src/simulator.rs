@@ -3,8 +3,7 @@
 
 use crate::strategy::{CaptureContext, CaptureReport, CompressionStrategy, StorageBreakdown};
 use crate::telemetry::TelemetryReport;
-use crate::uplink::UplinkReport;
-use earthplus_ground::ContactWindow;
+use earthplus_ground::{ContactWindow, UplinkReport};
 use earthplus_orbit::{Constellation, ContactSchedule, LinkModel, SatelliteId};
 use earthplus_scene::{DatasetConfig, LocationScene};
 use earthplus_telemetry::SeriesRecorder;

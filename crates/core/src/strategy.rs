@@ -1,8 +1,7 @@
 //! The compression-strategy abstraction shared by Earth+ and the
 //! baselines, plus the ground-side reconstruction state.
 
-use crate::uplink::UplinkReport;
-use earthplus_ground::ContactWindow;
+use earthplus_ground::{ContactWindow, UplinkReport};
 use earthplus_orbit::SatelliteId;
 use earthplus_raster::{Band, LocationId, Raster, TileGrid, TileMask};
 use earthplus_scene::Capture;

@@ -17,15 +17,15 @@
 
 use crate::change::ChangeDetector;
 use crate::config::EarthPlusConfig;
-use crate::reference::ReferenceImage;
 use crate::strategy::{
     masked_tile_mse, CaptureContext, CaptureReport, CompressionStrategy, GroundBelief,
     StageTimings, StorageBreakdown,
 };
-use crate::uplink::UplinkReport;
 use earthplus_cloud::OnboardCloudDetector;
 use earthplus_codec::{encode_roi_with_scratch, CodecConfig, CodecScratch, DecodeScratch};
-use earthplus_ground::{ContactWindow, GroundService, GroundServiceConfig};
+use earthplus_ground::{
+    ContactWindow, GroundService, GroundServiceConfig, ReferenceImage, UplinkReport,
+};
 use earthplus_orbit::SatelliteId;
 use earthplus_raster::{psnr_from_mse, Band, LocationId, TileGrid, TileMask};
 use earthplus_telemetry::{names, Histogram, Snapshot, TelemetrySink, TraceSink, TraceTrack};

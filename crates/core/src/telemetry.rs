@@ -11,7 +11,7 @@
 //! the records alone cannot see.
 
 use crate::strategy::CaptureReport;
-use crate::uplink::UplinkReport;
+use earthplus_ground::UplinkReport;
 use earthplus_orbit::SatelliteId;
 use earthplus_telemetry::{
     evaluate_health, hit_rate, humanize, names, verdicts_table, HealthCheck, HealthRule,

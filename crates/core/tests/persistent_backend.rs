@@ -7,9 +7,10 @@
 //! with the logical reference model the in-memory store reports.
 
 use earthplus::prelude::*;
+use earthplus::{TelemetrySink, TraceSink};
 use earthplus_cloud::{train_onboard_detector, TrainingConfig};
 use earthplus_ground::{
-    GroundServiceConfig, PersistentReferenceStore, ReferenceBackend, ReferenceBackendConfig,
+    GroundServiceConfig, ReferenceBackend, ReplicatedReferenceStore, StationSetConfig,
 };
 use earthplus_orbit::LinkModel;
 use earthplus_refstore::{framed_len, RefLogConfig};
@@ -54,10 +55,7 @@ fn mission_schedules_identical_on_both_backends_and_storage_ties_out() {
 
     let ground = GroundServiceConfig::default()
         .with_targets(targets)
-        .with_backend(ReferenceBackendConfig::Persistent {
-            dir: root.clone(),
-            log: RefLogConfig::default(),
-        });
+        .with_persistence(&root);
     let mut persistent = EarthPlusStrategy::with_ground_config(config, detector, ground);
     let report_disk = sim.run(&mut [&mut persistent]);
 
@@ -118,13 +116,20 @@ fn mission_schedules_identical_on_both_backends_and_storage_ties_out() {
         }
     }
     drop(persistent); // release the shard directories
-    let (archive, report) =
-        PersistentReferenceStore::open(&root, shards, RefLogConfig::default()).unwrap();
+    let (archive, report) = ReplicatedReferenceStore::open(
+        &root,
+        shards,
+        StationSetConfig::one_station(RefLogConfig::default()),
+        None,
+        &TelemetrySink::disabled(),
+        &TraceSink::disabled(),
+    )
+    .unwrap();
     assert!(report.clean());
-    assert_eq!(archive.stats().live_bytes, expected_live);
+    assert_eq!(archive.stats().store.live_bytes, expected_live);
     assert_eq!(ReferenceBackend::size_bytes(&archive), expected_logical);
     assert!(
-        archive.disk_bytes().unwrap() >= archive.stats().live_bytes,
+        archive.disk_bytes().unwrap() >= archive.stats().store.live_bytes,
         "files hold at least the live records"
     );
     let _ = std::fs::remove_dir_all(&root);

@@ -1,10 +1,10 @@
 //! The pluggable reference-store backend seam.
 //!
-//! `GroundService` and the constellation scheduler used to be welded to
-//! the in-memory [`ShardedReferenceStore`]; [`ReferenceBackend`] abstracts
-//! the store surface they actually use, so the same service, scheduler,
-//! and mission simulator run unchanged on the in-memory store or on the
-//! durable [`crate::PersistentReferenceStore`] — the backend is picked by
+//! [`ReferenceBackend`] abstracts the store surface `GroundService` and
+//! the constellation scheduler actually use, so the same service,
+//! scheduler, and mission simulator run unchanged on the in-memory
+//! [`ShardedReferenceStore`] or on the durable
+//! [`crate::ReplicatedReferenceStore`] — the backend is picked by
 //! [`crate::GroundServiceConfig`], not by the call sites.
 
 use crate::reference::ReferenceImage;
@@ -26,7 +26,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 ///
 /// The surface is infallible; backends over fallible media panic on
 /// runtime storage errors rather than silently dropping references (see
-/// the [`crate::persistent`] module docs for the policy).
+/// the [`crate::station`] module docs for the policy).
 pub trait ReferenceBackend: Send + Sync + std::fmt::Debug {
     /// Offers a new cloud-free reference; kept if fresher than the
     /// current generation. Returns whether the store updated.
@@ -56,9 +56,9 @@ pub trait ReferenceBackend: Send + Sync + std::fmt::Debug {
     fn keys(&self) -> Vec<(LocationId, Band)>;
 
     /// Ingests a batch of downlinked references on up to `threads`
-    /// workers. The default fans chunks out over [`ReferenceBackend::offer`],
-    /// which is correct for any backend because `offer` re-checks
-    /// freshness under its own synchronisation.
+    /// workers. The default fans chunks out over [`ReferenceBackend::offer`]
+    /// ([`parallel_offer`]), which is correct for any backend because
+    /// `offer` re-checks freshness under its own synchronisation.
     fn ingest_batch(&self, references: Vec<ReferenceImage>, threads: usize) -> IngestReport {
         parallel_offer(self, references, threads)
     }
@@ -67,8 +67,9 @@ pub trait ReferenceBackend: Send + Sync + std::fmt::Debug {
     fn sync(&self) {}
 }
 
-/// Fans a batch out over `offer` on a `std::thread` worker pool —
-/// the shared implementation behind both backends' `ingest_batch`.
+/// Fans a batch out over `offer` on a `std::thread` worker pool: the
+/// batch is split into owned contiguous chunks, one per worker, so
+/// references move into the store instead of being cloned.
 pub fn parallel_offer<B: ReferenceBackend + ?Sized>(
     backend: &B,
     mut references: Vec<ReferenceImage>,
@@ -110,7 +111,7 @@ pub fn parallel_offer<B: ReferenceBackend + ?Sized>(
 
 /// Routes a batch into per-shard groups (index `i` holds shard `i`'s
 /// references, arrival order preserved) — the grouping step behind the
-/// durable backends' group-commit ingest: one batch append (and one ship)
+/// durable backend's group-commit ingest: one batch append (and one ship)
 /// per touched shard instead of one per reference.
 pub(crate) fn shard_batches(
     references: Vec<ReferenceImage>,
@@ -189,12 +190,6 @@ impl ReferenceBackend for ShardedReferenceStore {
 
     fn keys(&self) -> Vec<(LocationId, Band)> {
         ShardedReferenceStore::keys(self)
-    }
-
-    fn ingest_batch(&self, references: Vec<ReferenceImage>, threads: usize) -> IngestReport {
-        // The inherent implementation offers straight against the shard
-        // maps — same result, one virtual call less per reference.
-        ShardedReferenceStore::ingest_batch(self, references, threads)
     }
 }
 

@@ -1,11 +1,11 @@
-//! The capacity-bounded on-board reference cache model.
+//! The on-board reference cache model (§4.3): every reference the
+//! satellite holds for the locations it will visit.
 //!
-//! [`crate::reference::OnboardReferenceCache`] grows without bound — fine
-//! for the paper's ~9 % storage overhead argument, but useless for asking
-//! *what happens when the satellite cannot hold every reference*. This
-//! model bounds the cache in bytes, evicts with an age/LRU hybrid policy,
-//! and counts hits / misses / evictions so experiments can report cache
-//! behaviour instead of asserting it.
+//! Unbounded, it is the paper's assumption (~9 % storage overhead,
+//! Appendix A). Bounded in bytes, it answers *what happens when the
+//! satellite cannot hold every reference*: it evicts with an age/LRU
+//! hybrid policy and counts hits / misses / evictions so experiments can
+//! report cache behaviour instead of asserting it.
 
 use crate::reference::ReferenceImage;
 use earthplus_raster::{Band, LocationId};
@@ -200,7 +200,7 @@ pub struct EvictingReferenceCache {
 
 impl EvictingReferenceCache {
     /// Creates a cache bounded to `capacity_bytes` (`None` = unbounded,
-    /// matching the legacy `OnboardReferenceCache` behaviour).
+    /// the paper's assumption).
     pub fn new(capacity_bytes: Option<u64>) -> Self {
         Self::with_policy(capacity_bytes, EvictionPolicy::default())
     }

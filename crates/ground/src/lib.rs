@@ -5,28 +5,25 @@
 //! through the 250 kbps uplink (§4.3 of the paper). This crate is the
 //! single entry point for that logic:
 //!
-//! * [`mod@reference`] — the reference-image primitives: [`ReferenceImage`],
-//!   the single-threaded [`ReferencePool`] (kept as the baseline the
-//!   sharded store is benchmarked against), and the unbounded
-//!   [`OnboardReferenceCache`];
+//! * [`mod@reference`] — the reference-image primitive [`ReferenceImage`]
+//!   and its storage-record encoding;
 //! * [`uplink`] — delta compression of reference updates
-//!   ([`compute_delta`], [`ReferenceDelta`]) and the legacy per-satellite
-//!   greedy [`UplinkPlanner`];
+//!   ([`compute_delta`], [`ReferenceDelta`]) and the per-contact
+//!   [`UplinkReport`];
 //! * [`store`] — [`ShardedReferenceStore`]: an `RwLock`-per-shard
-//!   concurrent pool supporting parallel ingest of downlinked captures via
-//!   a `std::thread` worker pool;
+//!   concurrent in-memory store supporting parallel ingest of downlinked
+//!   captures via a `std::thread` worker pool;
 //! * [`backend`] — [`ReferenceBackend`]: the pluggable store seam the
 //!   service and scheduler run against;
-//! * [`persistent`] — [`PersistentReferenceStore`]: the durable backend,
-//!   one crash-recoverable `earthplus-refstore` log per shard directory
-//!   (same shard routing as the in-memory store), selected via
-//!   [`ReferenceBackendConfig`] in the service config;
-//! * [`station`] — [`ReplicatedReferenceStore`]: the persistent shards
-//!   spread over a multi-station set with CRC-verified segment shipping
-//!   (synchronous by default, or pipelined through bounded per-station
-//!   ship queues via [`ShipQueueConfig`]), outage failover that promotes
-//!   replicas by replaying their shipped segments, and degraded-mode
-//!   accounting;
+//! * [`station`] — [`ReplicatedReferenceStore`]: the durable backend, one
+//!   crash-recoverable `earthplus-refstore` log per shard under
+//!   `station-NN/shard-NNN` (same shard routing as the in-memory store).
+//!   One station with no replicas is the plain durable store; more
+//!   stations add CRC-verified segment shipping (synchronous by default,
+//!   or pipelined through bounded per-station ship queues via
+//!   [`ShipQueueConfig`]), outage failover that promotes replicas by
+//!   replaying their shipped segments, and degraded-mode accounting.
+//!   Selected via [`ReferenceBackendConfig`] in the service config;
 //! * [`fault`] — the deterministic [`FaultPlan`]/[`FaultInjector`]
 //!   harness: station outages, replica-segment decay, dropped/corrupted
 //!   transfers, slow-disk stalls, and mid-pass uplink drops, all from
@@ -36,7 +33,8 @@
 //!   hit/miss/eviction counters;
 //! * [`scheduler`] — [`ConstellationScheduler`]: a staleness-weighted
 //!   queue that batches [`ReferenceDelta`]s across *all* satellites'
-//!   contact windows in one pass, replacing per-satellite greedy planning;
+//!   contact windows in one pass (one satellite's contact is a pass of
+//!   one window);
 //! * [`service`] — the [`GroundService`] facade (`ingest_downlink`,
 //!   `plan_contact`, `plan_pass`, `serve_reference`, `stats`) that the
 //!   Earth+ strategy and the mission simulator drive.
@@ -69,7 +67,6 @@
 pub mod backend;
 pub mod cache;
 pub mod fault;
-pub mod persistent;
 pub mod reference;
 pub mod scheduler;
 pub mod service;
@@ -84,15 +81,12 @@ pub use earthplus_refstore::{RecoveryReport, RefLogConfig};
 pub use fault::{
     FaultInjector, FaultPlan, OutageWindow, SegmentCorruption, SharedFaultInjector, TransferFaults,
 };
-pub use persistent::{PersistentReferenceStore, PersistentStoreStats};
-pub use reference::{
-    OnboardReferenceCache, ReferenceFromEncodedError, ReferenceImage, ReferencePool,
-    DEFAULT_REFERENCE_DOWNSAMPLE,
-};
+pub use reference::{ReferenceFromEncodedError, ReferenceImage, DEFAULT_REFERENCE_DOWNSAMPLE};
 pub use scheduler::{ConstellationScheduler, ContactWindow};
 pub use service::{GroundService, GroundServiceConfig, GroundServiceStats, ReferenceBackendConfig};
 pub use station::{
-    ReplicatedReferenceStore, ShipPolicy, ShipQueueConfig, StationSetConfig, StationSetStats,
+    PersistentStoreStats, ReplicatedReferenceStore, ShipPolicy, ShipQueueConfig, StationSetConfig,
+    StationSetStats,
 };
 pub use store::{shard_index, IngestReport, ShardedReferenceStore};
-pub use uplink::{compute_delta, ReferenceDelta, UplinkPlanner, UplinkReport};
+pub use uplink::{compute_delta, ReferenceDelta, UplinkReport};

@@ -1,9 +1,9 @@
-//! Reference images, the ground-side reference pool, and the on-board
-//! reference cache.
+//! Reference images: the downsampled cloud-free references the ground
+//! keeps per `(location, band)` and uploads to the constellation, and
+//! their storage-record encoding.
 
 use earthplus_codec::{decode_level_limited, DecodeError, DecodeScratch, EncodedImage};
 use earthplus_raster::{downsample_box, Band, LocationId, Raster, RasterError};
-use std::collections::HashMap;
 
 /// The paper's per-axis reference downsampling factor (51 per axis ⇒
 /// 2601× fewer pixels, Appendix A). The single shared constant behind
@@ -211,7 +211,7 @@ impl ReferenceImage {
         let (full_width, full_height, downsample) = (dim(0), dim(1), dim(2));
         let (w, h) = (dim(3), dim(4));
         let samples = &payload[Self::RECORD_PAYLOAD_HEADER..];
-        if samples.len() != 4 * w.checked_mul(h)? {
+        if samples.len() != w.checked_mul(h)?.checked_mul(4)? {
             return None;
         }
         let data: Vec<f32> = samples
@@ -283,131 +283,11 @@ fn resample_lowpass_to_box_grid(
     Ok(out)
 }
 
-/// Ground-side pool of the freshest cloud-free reference per
-/// (location, band).
-///
-/// Constellation-wide by construction: whichever satellite downloaded the
-/// cloud-free image, the ground can select it and upload it to *any*
-/// satellite (§4.1–4.2). The pool also retains the previous references so
-/// experiments can reconstruct age CDFs (Figure 5).
-#[derive(Debug, Default)]
-pub struct ReferencePool {
-    current: HashMap<(LocationId, Band), ReferenceImage>,
-}
-
-impl ReferencePool {
-    /// Creates an empty pool.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Offers a new cloud-free reference; kept if fresher than the current
-    /// one. Returns whether the pool updated.
-    pub fn offer(&mut self, reference: ReferenceImage) -> bool {
-        let key = (reference.location, reference.band);
-        match self.current.get(&key) {
-            Some(existing) if existing.captured_day >= reference.captured_day => false,
-            _ => {
-                self.current.insert(key, reference);
-                true
-            }
-        }
-    }
-
-    /// The freshest reference for a location/band, if any.
-    pub fn get(&self, location: LocationId, band: Band) -> Option<&ReferenceImage> {
-        self.current.get(&(location, band))
-    }
-
-    /// Number of (location, band) entries.
-    pub fn len(&self) -> usize {
-        self.current.len()
-    }
-
-    /// Whether the pool is empty.
-    pub fn is_empty(&self) -> bool {
-        self.current.is_empty()
-    }
-
-    /// Total stored bytes (ground-side storage is not a bottleneck, but
-    /// the accounting supports Figure 15-style breakdowns).
-    pub fn size_bytes(&self) -> u64 {
-        self.current.values().map(|r| r.size_bytes()).sum()
-    }
-}
-
-/// On-board cache of reference images for every location the satellite
-/// will visit (§4.3, *Only uploading changed areas*).
-#[derive(Debug, Default)]
-pub struct OnboardReferenceCache {
-    entries: HashMap<(LocationId, Band), ReferenceImage>,
-}
-
-impl OnboardReferenceCache {
-    /// Creates an empty cache.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The cached reference for a location/band.
-    pub fn get(&self, location: LocationId, band: Band) -> Option<&ReferenceImage> {
-        self.entries.get(&(location, band))
-    }
-
-    /// Installs a full reference (first upload for a location).
-    pub fn install(&mut self, reference: ReferenceImage) {
-        self.entries
-            .insert((reference.location, reference.band), reference);
-    }
-
-    /// Applies a delta update: overwrites the listed low-resolution pixels
-    /// and advances the capture day. A message carrying a full reference
-    /// replaces the entry outright — that is what the ground sends on a
-    /// cold cache *and* on a resolution reconfiguration, where patching
-    /// the old-geometry raster would corrupt it.
-    pub fn apply_delta(
-        &mut self,
-        location: LocationId,
-        band: Band,
-        day: f64,
-        pixels: &[(u32, f32)],
-        full: Option<&ReferenceImage>,
-    ) {
-        if let Some(full) = full {
-            self.install(full.clone());
-            return;
-        }
-        if let Some(entry) = self.entries.get_mut(&(location, band)) {
-            for &(idx, value) in pixels {
-                let i = idx as usize;
-                if i < entry.lowres.len() {
-                    entry.lowres.as_mut_slice()[i] = value;
-                }
-            }
-            entry.captured_day = day;
-        }
-    }
-
-    /// Number of cached references.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Total cache footprint in bytes (12-bit samples) — the ~9 % storage
-    /// overhead Appendix A budgets for.
-    pub fn size_bytes(&self) -> u64 {
-        self.entries.values().map(|r| r.size_bytes()).sum()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::EvictingReferenceCache;
+    use crate::store::ShardedReferenceStore;
     use earthplus_raster::{PlanetBand, Raster};
 
     fn band() -> Band {
@@ -428,7 +308,7 @@ mod tests {
 
     #[test]
     fn pool_keeps_freshest() {
-        let mut pool = ReferencePool::new();
+        let pool = ShardedReferenceStore::new(1);
         assert!(pool.offer(reference(5.0, 0.1)));
         assert!(!pool.offer(reference(3.0, 0.2))); // older: rejected
         assert!(pool.offer(reference(9.0, 0.3)));
@@ -438,7 +318,7 @@ mod tests {
 
     #[test]
     fn pool_separates_bands_and_locations() {
-        let mut pool = ReferencePool::new();
+        let pool = ShardedReferenceStore::new(1);
         pool.offer(reference(1.0, 0.1));
         let mut other = reference(2.0, 0.2);
         other.band = Band::Planet(PlanetBand::Green);
@@ -449,7 +329,7 @@ mod tests {
 
     #[test]
     fn cache_applies_delta_pixels() {
-        let mut cache = OnboardReferenceCache::new();
+        let mut cache = EvictingReferenceCache::new(None);
         cache.install(reference(1.0, 0.5));
         cache.apply_delta(LocationId(0), band(), 4.0, &[(0, 0.9), (3, 0.8)], None);
         let r = cache.get(LocationId(0), band()).unwrap();
@@ -461,7 +341,7 @@ mod tests {
 
     #[test]
     fn cache_installs_full_when_cold() {
-        let mut cache = OnboardReferenceCache::new();
+        let mut cache = EvictingReferenceCache::new(None);
         let full = reference(2.0, 0.4);
         cache.apply_delta(LocationId(0), band(), 2.0, &[], Some(&full));
         assert_eq!(cache.len(), 1);
@@ -472,7 +352,7 @@ mod tests {
     fn full_resend_replaces_warm_entry() {
         // Resolution reconfiguration: the ground resends in full; the old
         // geometry must be replaced, not patched in place.
-        let mut cache = OnboardReferenceCache::new();
+        let mut cache = EvictingReferenceCache::new(None);
         cache.install(reference(1.0, 0.5));
         let full = Raster::filled(256, 256, 0.8);
         let reconfigured =
@@ -486,7 +366,7 @@ mod tests {
 
     #[test]
     fn delta_ignores_out_of_range_pixels() {
-        let mut cache = OnboardReferenceCache::new();
+        let mut cache = EvictingReferenceCache::new(None);
         cache.install(reference(1.0, 0.5));
         cache.apply_delta(LocationId(0), band(), 2.0, &[(10_000_000, 0.9)], None);
         // No panic; day still advanced.
@@ -597,6 +477,12 @@ mod tests {
         payload.truncate(payload.len() - 3); // length no longer matches w*h
         assert!(ReferenceImage::from_record_payload(r.location, r.band, 1.0, &payload).is_none());
         assert!(ReferenceImage::from_record_payload(r.location, r.band, 1.0, &[0; 7]).is_none());
+        // Hostile dimensions: 2^31 x 2^31 samples must not overflow the
+        // length check.
+        let mut hostile = vec![0u8; ReferenceImage::RECORD_PAYLOAD_HEADER];
+        hostile[12..16].copy_from_slice(&0x8000_0000u32.to_le_bytes());
+        hostile[16..20].copy_from_slice(&0x8000_0000u32.to_le_bytes());
+        assert!(ReferenceImage::from_record_payload(r.location, r.band, 1.0, &hostile).is_none());
     }
 
     #[test]

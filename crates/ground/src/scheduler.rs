@@ -1,12 +1,13 @@
 //! The constellation-wide uplink scheduler.
 //!
-//! [`crate::uplink::UplinkPlanner`] plans one satellite's contact greedily
-//! and in isolation; it cannot see that the same reference is about to be
-//! uploaded to three satellites, or that another satellite's contact two
-//! hours later has slack. [`ConstellationScheduler`] plans a whole *pass*
-//! — every satellite's contact windows since the last planning round — as
-//! one staleness-weighted queue: the update worth the most freshness wins
-//! the next bytes, wherever in the constellation they are. Per-contact
+//! Planning one satellite's contact greedily and in isolation cannot see
+//! that the same reference is about to be uploaded to three satellites,
+//! or that another satellite's contact two hours later has slack.
+//! [`ConstellationScheduler`] plans a whole *pass* — every satellite's
+//! contact windows since the last planning round — as one
+//! staleness-weighted queue: the update worth the most freshness wins the
+//! next bytes, wherever in the constellation they are. A single contact
+//! is simply a pass of one window. Per-contact
 //! byte budgets are supplied by the caller from the link model, so
 //! bandwidth fluctuation and outages (§5, *Handling bandwidth
 //! fluctuation*) are handled exactly as before: a degraded contact simply
@@ -39,7 +40,7 @@ struct Candidate {
     target: usize,
     delta: ReferenceDelta,
     /// Freshness gain in days; infinite for a cold cache (a full install
-    /// outranks any delta, matching the legacy greedy planner).
+    /// outranks any delta).
     staleness: f64,
     cost: u64,
 }
@@ -64,7 +65,7 @@ impl ConstellationScheduler {
     /// cache from `new_cache`, so capacity bounds and eviction policy are
     /// the caller's decision, not the scheduler's. The scheduler is
     /// backend-agnostic: `store` may be the in-memory sharded store or
-    /// the persistent log-structured one, and the plan is identical for
+    /// the durable log-structured one, and the plan is identical for
     /// identical store contents (candidates are totally ordered by
     /// staleness, cost, location, band, and satellite).
     ///

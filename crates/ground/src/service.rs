@@ -11,7 +11,6 @@
 use crate::backend::ReferenceBackend;
 use crate::cache::{CacheCounters, CacheStats, EvictingReferenceCache, EvictionPolicy};
 use crate::fault::{shared_injector, FaultPlan, SharedFaultInjector};
-use crate::persistent::PersistentReferenceStore;
 use crate::reference::{ReferenceFromEncodedError, ReferenceImage, DEFAULT_REFERENCE_DOWNSAMPLE};
 use crate::scheduler::{ConstellationScheduler, ContactWindow};
 use crate::station::{ReplicatedReferenceStore, StationSetConfig};
@@ -35,17 +34,12 @@ pub enum ReferenceBackendConfig {
     /// (the seed behaviour, and the right choice for pure simulation).
     #[default]
     InMemory,
-    /// The durable log-structured store under `dir` — survives ground
-    /// segment restarts with a replay-recovered index.
-    Persistent {
-        /// Root directory; shard subdirectories are created beneath it.
-        dir: PathBuf,
-        /// Storage-engine tuning (segment size, compaction, fsync).
-        log: RefLogConfig,
-    },
-    /// The multi-station replicated store — the persistent backend's
-    /// shard directories spread over a station set with synchronous
-    /// segment shipping and outage failover (see
+    /// The durable log-structured store under `dir`, which survives
+    /// ground-segment restarts with a replay-recovered index: one log per
+    /// shard, spread over a station set. One station with no replicas
+    /// ([`GroundServiceConfig::with_persistence`]) is the plain durable
+    /// store; more stations add segment shipping (synchronous or
+    /// pipelined) and outage failover (see
     /// [`crate::station::ReplicatedReferenceStore`]).
     Replicated {
         /// Root directory; `station-NN/shard-NNN` trees live beneath it.
@@ -142,13 +136,10 @@ impl GroundServiceConfig {
         self
     }
 
-    /// Selects the durable backend rooted at `dir` with default
-    /// storage-engine tuning.
+    /// Selects the durable backend rooted at `dir` on one station with no
+    /// replicas and default storage-engine tuning.
     pub fn with_persistence(self, dir: impl Into<PathBuf>) -> Self {
-        self.with_backend(ReferenceBackendConfig::Persistent {
-            dir: dir.into(),
-            log: RefLogConfig::default(),
-        })
+        self.with_stations(dir, StationSetConfig::one_station(RefLogConfig::default()))
     }
 
     /// Sets the backend explicitly.
@@ -262,12 +253,11 @@ impl GroundServiceStats {
 pub struct GroundService {
     config: GroundServiceConfig,
     store: Box<dyn ReferenceBackend>,
-    /// What recovery found when a persistent backend was opened; `None`
+    /// What recovery found when the durable backend was opened; `None`
     /// on the in-memory backend.
     recovery: Option<RecoveryReport>,
-    /// Second handle on the replicated backend for control-plane calls
-    /// (failover day advance, replication pumps); `None` on the other
-    /// backends.
+    /// Second handle on the durable backend for control-plane calls
+    /// (failover day advance, replication pumps); `None` in memory.
     stations: Option<Arc<ReplicatedReferenceStore>>,
     /// The live fault injector, shared with the replicated backend.
     fault: Option<SharedFaultInjector>,
@@ -305,18 +295,18 @@ impl GroundService {
     ///
     /// # Panics
     ///
-    /// Panics if a persistent backend cannot open its directory; use
+    /// Panics if the durable backend cannot open its directory; use
     /// [`GroundService::try_new`] to handle storage errors.
     pub fn new(config: GroundServiceConfig) -> Self {
         Self::try_new(config).expect("reference backend failed to open")
     }
 
-    /// Creates the service, surfacing storage errors from a persistent
+    /// Creates the service, surfacing storage errors from the durable
     /// backend instead of panicking.
     ///
     /// # Errors
     ///
-    /// Returns the storage-engine error when the persistent backend
+    /// Returns the storage-engine error when the durable backend
     /// cannot be opened (I/O failure on its directory). The in-memory
     /// backend never fails.
     pub fn try_new(config: GroundServiceConfig) -> Result<Self, RefStoreError> {
@@ -330,12 +320,6 @@ impl GroundService {
             match &config.backend {
                 ReferenceBackendConfig::InMemory => {
                     (Box::new(ShardedReferenceStore::new(config.shards)), None)
-                }
-                ReferenceBackendConfig::Persistent { dir, log } => {
-                    let (store, report) = PersistentReferenceStore::open(dir, config.shards, *log)?;
-                    store.attach_telemetry(&sink);
-                    store.attach_tracing(&config.tracing);
-                    (Box::new(store), Some(report))
                 }
                 ReferenceBackendConfig::Replicated { dir, stations: set } => {
                     let (store, report) = ReplicatedReferenceStore::open(
@@ -398,7 +382,7 @@ impl GroundService {
     }
 
     /// The registry-backed sink the service records into — snapshot it to
-    /// export every `ground.*` (and, on a persistent backend,
+    /// export every `ground.*` (and, on the durable backend,
     /// `refstore.*`) metric.
     pub fn telemetry(&self) -> &TelemetrySink {
         &self.sink
@@ -421,16 +405,16 @@ impl GroundService {
         self.store.as_ref()
     }
 
-    /// What recovery found when the persistent backend opened (`None` on
+    /// What recovery found when the durable backend opened (`None` on
     /// the in-memory backend): live records replayed, torn bytes
     /// truncated, corrupt records dropped.
     pub fn recovery_report(&self) -> Option<&RecoveryReport> {
         self.recovery.as_ref()
     }
 
-    /// The replicated station set, when that backend is configured —
-    /// the control-plane handle for failover state, replication pumps,
-    /// and [`crate::station::StationSetStats`].
+    /// The station set, when the durable backend is configured — the
+    /// control-plane handle for failover state, replication pumps, and
+    /// [`crate::station::StationSetStats`].
     pub fn stations(&self) -> Option<&ReplicatedReferenceStore> {
         self.stations.as_deref()
     }

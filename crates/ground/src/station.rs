@@ -1,11 +1,28 @@
-//! Multi-station replication: the fault-tolerant reference backend.
+//! The durable reference backend: sharded `earthplus-refstore` logs,
+//! optionally replicated over a set of ground stations.
 //!
-//! A [`ReplicatedReferenceStore`] spreads the persistent store's shard
-//! directories over a set of ground stations. Each shard has a fixed
-//! *placement ring* of `1 + replicas` stations (`shard i` starts on
-//! station `i % stations`, replicas on the next stations around the
-//! ring); the ring head that is currently up is the shard's *primary*,
-//! the one live [`RefLog`] serving reads and writes.
+//! A [`ReplicatedReferenceStore`] owns one crash-recoverable [`RefLog`]
+//! per shard, laid out as `station-NN/shard-NNN/`. Keys route to shards
+//! with [`crate::store::shard_index`] — the *same* routing the in-memory
+//! store uses — so a shard directory holds exactly the keys that hashed
+//! there. Each shard has a fixed *placement ring* of `1 + replicas`
+//! stations (`shard i` starts on station `i % stations`, replicas on the
+//! next stations around the ring); the ring head that is currently up is
+//! the shard's *primary*, the one live log serving reads and writes. One
+//! station with no replicas is the plain durable store
+//! ([`crate::GroundServiceConfig::with_persistence`]): every ring holds
+//! only its primary and nothing ships.
+//!
+//! **Durability.** A reference is committed once its CRC-framed record is
+//! in the shard's active segment (see the `earthplus-refstore` docs). A
+//! restart replays the logs and resumes with the identical store state;
+//! superseded generations are dropped by each shard's snapshot +
+//! compaction cycle. Open-time I/O failures surface through
+//! [`ReplicatedReferenceStore::open`], but the [`ReferenceBackend`]
+//! surface is infallible by design (the in-memory store cannot fail), so
+//! *runtime* storage failures — an append or read hitting a full or dead
+//! disk mid-mission — **panic** rather than silently dropping references
+//! and skewing every experiment built on the store.
 //!
 //! **Shipping.** Replication is file-level and, by default, synchronous:
 //! every accepted `offer` tails the primary's segment files out to the
@@ -58,7 +75,6 @@
 
 use crate::backend::{shard_batches, ReferenceBackend};
 use crate::fault::{SegmentCorruption, SharedFaultInjector};
-use crate::persistent::{append_reference_batch, shard_dir_name, PersistentStoreStats};
 use crate::reference::ReferenceImage;
 use crate::store::{shard_index, IngestReport};
 use earthplus_raster::{Band, LocationId};
@@ -157,9 +173,86 @@ impl Default for StationSetConfig {
     }
 }
 
+impl StationSetConfig {
+    /// One station with no replicas — the plain durable store, which
+    /// never ships — with `log` as the storage-engine tuning.
+    pub fn one_station(log: RefLogConfig) -> Self {
+        StationSetConfig {
+            stations: 1,
+            replicas: 0,
+            log,
+            ..StationSetConfig::default()
+        }
+    }
+}
+
 /// Directory name of station `s` under the store root.
 fn station_dir_name(s: usize) -> String {
     format!("station-{s:02}")
+}
+
+/// Directory name of shard `i` under a station directory.
+fn shard_dir_name(i: usize) -> String {
+    format!("shard-{i:03}")
+}
+
+/// Appends one shard's reference group as a single group-commit batch
+/// ([`RefLog::append_batch`]): the whole run is framed and written
+/// together with one fsync per filled segment instead of one per record.
+/// Returns `(accepted, rejected)` counts identical to what sequential
+/// offers of the same group would produce — the batch path resolves
+/// within-batch supersedes exactly as sequential appends would.
+fn append_reference_batch(log: &mut RefLog, group: &[ReferenceImage]) -> (u64, u64) {
+    let payloads: Vec<Vec<u8>> = group.iter().map(|r| r.to_record_payload()).collect();
+    let records: Vec<((LocationId, Band), f64, &[u8])> = group
+        .iter()
+        .zip(&payloads)
+        .map(|(r, payload)| ((r.location, r.band), r.captured_day, payload.as_slice()))
+        .collect();
+    let outcomes = log
+        .append_batch(&records)
+        .expect("refstore batch append failed");
+    let accepted = outcomes.iter().filter(|&&kept| kept).count() as u64;
+    (accepted, group.len() as u64 - accepted)
+}
+
+/// Storage-engine accounting summed over every shard's primary log.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PersistentStoreStats {
+    /// Shard count.
+    pub shards: u64,
+    /// Segment files across shards.
+    pub segments: u64,
+    /// Live (indexed) records.
+    pub live_records: u64,
+    /// Superseded records awaiting compaction.
+    pub dead_records: u64,
+    /// File bytes of live records.
+    pub live_bytes: u64,
+    /// File bytes awaiting compaction.
+    pub dead_bytes: u64,
+    /// Compactions run since open.
+    pub compactions: u64,
+    /// Bounded compaction steps executed since open.
+    pub compaction_steps: u64,
+    /// Largest frame-byte count any single compaction step relocated —
+    /// the observed append-path stall bound.
+    pub max_step_copied_bytes: u64,
+    /// Read-path segment-handle cache hits, summed across shards.
+    pub handle_cache_hits: u64,
+    /// Read-path segment-handle cache misses, summed across shards.
+    pub handle_cache_misses: u64,
+    /// fsync/fdatasync calls the engines issued, summed across shards —
+    /// 0 unless `RefLogConfig::fsync_appends` is on. Group-commit ingest
+    /// amortizes these to one per filled segment run per batch.
+    pub fsyncs_issued: u64,
+}
+
+impl PersistentStoreStats {
+    /// Fraction of reads served by an already-open segment handle.
+    pub fn handle_cache_hit_rate(&self) -> f64 {
+        earthplus_telemetry::hit_rate(self.handle_cache_hits, self.handle_cache_misses)
+    }
 }
 
 /// One shard's live state: where its primary is, the open log, and the
@@ -261,8 +354,7 @@ impl StationCounters {
 pub struct StationSetStats {
     /// Stations in the set.
     pub stations: u64,
-    /// Storage-engine totals over the primary logs (same shape as the
-    /// single-station persistent backend's).
+    /// Storage-engine totals over the primary logs.
     pub store: PersistentStoreStats,
     /// Segment transfers that moved bytes.
     pub ship_segments: u64,
@@ -332,10 +424,18 @@ impl ReplicatedReferenceStore {
     /// pipelined mode with workers enabled this also spawns one drain
     /// worker per station.
     ///
+    /// Layout rule: a top-level `root/shard-NNN` directory (the flat
+    /// layout of an archive written before stations existed) whose
+    /// `station-NN/shard-NNN` directory does not exist yet is renamed
+    /// there — under its primary station, `root/station-00/` for one
+    /// station — before replay, so such an archive reopens with every
+    /// record instead of opening empty. An adoption cut short by a crash
+    /// resumes on the next open.
+    ///
     /// # Errors
     ///
     /// Propagates open-time I/O failures; corruption is healed and
-    /// reported, exactly like the single-station backend.
+    /// reported.
     pub fn open(
         root: &Path,
         shards: usize,
@@ -356,6 +456,11 @@ impl ReplicatedReferenceStore {
             let ring: Vec<usize> = (0..=ring_len).map(|k| (i + k) % stations).collect();
             let station = ring[0];
             let dir = root.join(station_dir_name(station)).join(shard_dir_name(i));
+            let flat = root.join(shard_dir_name(i));
+            if flat.is_dir() && !dir.exists() {
+                std::fs::create_dir_all(root.join(station_dir_name(station)))?;
+                std::fs::rename(&flat, &dir)?;
+            }
             let (mut log, report) = RefLog::open(&dir, config.log)?;
             log.attach_telemetry(sink);
             log.attach_tracing(tracing);
@@ -497,6 +602,19 @@ impl ReplicatedReferenceStore {
     /// replication/fault counters.
     pub fn stats(&self) -> StationSetStats {
         self.inner.stats()
+    }
+
+    /// Total segment-file bytes on disk across the primary logs.
+    ///
+    /// # Errors
+    ///
+    /// Propagates metadata failures.
+    pub fn disk_bytes(&self) -> Result<u64> {
+        let mut total = 0;
+        for shard in &self.inner.shards {
+            total += shard.read().expect("shard poisoned").log.disk_bytes()?;
+        }
+        Ok(total)
     }
 
     #[cfg(test)]
@@ -911,7 +1029,7 @@ impl StoreInner {
             let dir = self.shard_dir(next, idx);
             // The promotion replays the replica's shipped segments; the
             // backend surface is infallible, so a dead promotion target
-            // is loud (same policy as the persistent backend).
+            // is loud (see the module docs' error policy).
             let (mut log, report) =
                 RefLog::open(&dir, self.config.log).expect("replica promotion failed");
             log.attach_telemetry(&self.telemetry);
@@ -969,20 +1087,26 @@ impl StoreInner {
         }
     }
 
-    /// Ships `home`'s outstanding bytes to every live ring member.
+    /// Ships `home`'s outstanding bytes to every live ring member. With no
+    /// live replica (always so for a one-station set) it returns before
+    /// touching the disk.
     fn ship_shard(&self, idx: usize, home: &mut ShardHome) {
-        let down = self.down.lock().expect("outage state poisoned").clone();
+        let replicas: Vec<usize> = {
+            let down = self.down.lock().expect("outage state poisoned");
+            home.ring
+                .iter()
+                .copied()
+                .filter(|&s| s != home.station && !down.get(s).copied().unwrap_or(false))
+                .collect()
+        };
+        if replicas.is_empty() {
+            return;
+        }
         let primary_dir = self.shard_dir(home.station, idx);
         let Ok(files) = list_segments(&primary_dir) else {
             return;
         };
         let manifest = std::fs::read(primary_dir.join(MANIFEST_NAME)).ok();
-        let replicas: Vec<usize> = home
-            .ring
-            .iter()
-            .copied()
-            .filter(|&s| s != home.station && !down.get(s).copied().unwrap_or(false))
-            .collect();
         for replica in replicas {
             let rdir = self.shard_dir(replica, idx);
             if std::fs::create_dir_all(&rdir).is_err() {
@@ -1203,7 +1327,9 @@ impl ReferenceBackend for ReplicatedReferenceStore {
     }
 
     fn size_bytes(&self) -> u64 {
-        // Same logical 12-bit model as the persistent backend.
+        // Logical 12-bit model, derived from indexed frame lengths alone
+        // so no disk read (or sort) happens: payload = 20-byte header +
+        // 4 bytes/sample.
         let mut total = 0u64;
         for shard in &self.inner.shards {
             let home = shard.read().expect("shard poisoned");
@@ -1671,6 +1797,251 @@ mod tests {
         store.fail_station(0);
         assert_eq!(store.fresh_day(LocationId(0), red()), Some(1.0));
         assert!(store.recovery_report().clean(), "promotion replay clean");
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    // --- one station, no replicas: the plain durable store --------------
+
+    fn open_one(
+        root: &Path,
+        shards: usize,
+        log: RefLogConfig,
+    ) -> (ReplicatedReferenceStore, RecoveryReport) {
+        ReplicatedReferenceStore::open(
+            root,
+            shards,
+            StationSetConfig::one_station(log),
+            None,
+            &TelemetrySink::default().or_private(),
+            &TraceSink::default(),
+        )
+        .unwrap()
+    }
+
+    #[test]
+    fn offer_get_fresh_day_round_trip() {
+        let root = test_root("roundtrip");
+        let (store, report) = open_one(&root, 4, RefLogConfig::default());
+        assert!(report.clean());
+        assert!(store.offer(reference(0, 5.0, 0.4)));
+        assert!(!store.offer(reference(0, 3.0, 0.5)), "stale rejected");
+        assert!(store.offer(reference(0, 9.0, 0.6)));
+        assert_eq!(store.fresh_day(LocationId(0), red()), Some(9.0));
+        let got = store.get(LocationId(0), red()).unwrap();
+        assert_eq!(got.captured_day, 9.0);
+        assert_eq!(got, reference(0, 9.0, 0.6));
+        assert_eq!(store.len(), 1);
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn reopen_recovers_identical_state() {
+        let root = test_root("reopen");
+        let (store, _) = open_one(&root, 3, RefLogConfig::default());
+        for loc in 0..20u32 {
+            store.offer(reference(loc, 1.0 + loc as f64, 0.3));
+        }
+        let keys = store.keys();
+        let size = store.size_bytes();
+        drop(store);
+        let (store, report) = open_one(&root, 3, RefLogConfig::default());
+        assert!(report.clean());
+        assert_eq!(report.live_records, 20);
+        assert_eq!(store.keys(), keys);
+        assert_eq!(store.size_bytes(), size);
+        for loc in 0..20u32 {
+            assert_eq!(
+                store.fresh_day(LocationId(loc), red()),
+                Some(1.0 + loc as f64)
+            );
+        }
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn size_bytes_matches_in_memory_model() {
+        let root = test_root("size");
+        let (store, _) = open_one(&root, 2, RefLogConfig::default());
+        let expected: u64 = (0..5u32)
+            .map(|loc| reference(loc, 1.0, 0.3).size_bytes())
+            .sum();
+        for loc in 0..5u32 {
+            store.offer(reference(loc, 1.0, 0.3));
+        }
+        assert_eq!(store.size_bytes(), expected);
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn disk_layout_mirrors_shard_routing() {
+        let root = test_root("routing");
+        let shards = 4;
+        let (store, _) = open_one(&root, shards, RefLogConfig::default());
+        for loc in 0..32u32 {
+            store.offer(reference(loc, 1.0, 0.3));
+        }
+        store.maintain();
+        drop(store);
+        // Each key's record must live in exactly the directory its
+        // in-memory shard routing picks, under the one station.
+        for loc in 0..32u32 {
+            let expected_shard = shard_index(LocationId(loc), red(), shards);
+            let dir = root
+                .join(station_dir_name(0))
+                .join(shard_dir_name(expected_shard));
+            let (log, _) = RefLog::open(&dir, RefLogConfig::default()).unwrap();
+            assert!(
+                log.fresh_day(&(LocationId(loc), red())).is_some(),
+                "location {loc} missing from its routed shard {expected_shard}"
+            );
+        }
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn parallel_ingest_converges_to_freshest() {
+        let root = test_root("ingest");
+        let (store, _) = open_one(&root, 4, RefLogConfig::default());
+        let mut batch = Vec::new();
+        for day in [3.0, 9.0, 5.0, 1.0] {
+            for loc in 0..16u32 {
+                batch.push(reference(loc, day, 0.3));
+            }
+        }
+        let report = store.ingest_batch(batch, 4);
+        assert_eq!(report.offered(), 64);
+        // Sequential offers would accept 3.0 and 9.0 and reject 5.0 and
+        // 1.0 per location; the group-commit path must count the same.
+        assert_eq!(report.accepted, 32);
+        assert_eq!(report.rejected, 32);
+        assert_eq!(store.len(), 16);
+        for loc in 0..16u32 {
+            assert_eq!(store.fresh_day(LocationId(loc), red()), Some(9.0));
+        }
+        store.sync();
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn grouped_ingest_amortizes_fsyncs() {
+        let config = RefLogConfig {
+            fsync_appends: true,
+            ..RefLogConfig::default()
+        };
+        let batch: Vec<ReferenceImage> = (0..16u32).map(|loc| reference(loc, 2.0, 0.3)).collect();
+        let root_seq = test_root("fsync-seq");
+        let (seq, _) = open_one(&root_seq, 2, config);
+        for reference in batch.clone() {
+            assert!(seq.offer(reference));
+        }
+        let root_grp = test_root("fsync-grp");
+        let (grp, _) = open_one(&root_grp, 2, config);
+        let report = grp.ingest_batch(batch, 2);
+        assert_eq!(report.accepted, 16);
+        let seq_fsyncs = seq.stats().store.fsyncs_issued;
+        let grp_fsyncs = grp.stats().store.fsyncs_issued;
+        // One fsync per record vs one per batched segment run: the batch
+        // factor here is 8 records/shard, so well over 2x fewer syncs.
+        assert!(
+            grp_fsyncs * 2 <= seq_fsyncs,
+            "grouped ingest issued {grp_fsyncs} fsyncs vs {seq_fsyncs} sequential"
+        );
+        // Same converged state either way.
+        assert_eq!(grp.keys(), seq.keys());
+        assert_eq!(grp.size_bytes(), seq.size_bytes());
+        let _ = std::fs::remove_dir_all(&root_seq);
+        let _ = std::fs::remove_dir_all(&root_grp);
+    }
+
+    #[test]
+    fn stats_aggregate_across_shards() {
+        let root = test_root("stats");
+        // Appends never compact; the first `maintain` compacts every
+        // shard holding dead bytes in one unbounded step.
+        let log = RefLogConfig {
+            auto_compact: false,
+            compact_min_dead_bytes: 0,
+            compact_min_dead_fraction: 0.0,
+            compaction_step: earthplus_refstore::CompactionBudget::unbounded(),
+            ..RefLogConfig::default()
+        };
+        let (store, _) = open_one(&root, 2, log);
+        for generation in 1..=3 {
+            for loc in 0..6u32 {
+                store.offer(reference(loc, generation as f64, 0.3));
+            }
+        }
+        let stats = store.stats().store;
+        assert_eq!(stats.shards, 2);
+        assert_eq!(stats.live_records, 6);
+        assert_eq!(stats.dead_records, 12);
+        assert!(stats.dead_bytes > 0);
+        store.maintain();
+        let stats = store.stats().store;
+        assert_eq!(stats.dead_bytes, 0);
+        assert_eq!(stats.compactions, 2);
+        assert!(store.disk_bytes().unwrap() > 0);
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn flat_shard_layout_is_adopted_at_open() {
+        use crate::service::{GroundService, GroundServiceConfig};
+        let root = test_root("flat-layout");
+        let shards = GroundServiceConfig::default().shards;
+        let stored = reference(7, 4.0, 0.6);
+        let shard = shard_index(stored.location, stored.band, shards);
+        {
+            let (mut log, _) =
+                RefLog::open(&root.join(shard_dir_name(shard)), RefLogConfig::default()).unwrap();
+            let payload = stored.to_record_payload();
+            assert!(log
+                .append(
+                    (stored.location, stored.band),
+                    stored.captured_day,
+                    &payload
+                )
+                .unwrap());
+        }
+        let service = GroundService::new(GroundServiceConfig::default().with_persistence(&root));
+        assert!(service.recovery_report().unwrap().clean());
+        assert_eq!(
+            service.store().get(stored.location, stored.band),
+            Some(stored)
+        );
+        assert!(root
+            .join(station_dir_name(0))
+            .join(shard_dir_name(shard))
+            .is_dir());
+        assert!(!root.join(shard_dir_name(shard)).exists());
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn one_station_offer_ships_nothing() {
+        let root = test_root("one-station");
+        let (store, _) = open_one(&root, 4, RefLogConfig::default());
+        for loc in 0..16u32 {
+            assert!(store.offer(reference(loc, 2.0, 0.4)));
+        }
+        store.ingest_batch((0..16u32).map(|loc| reference(loc, 3.0, 0.4)).collect(), 2);
+        store.replicate();
+        store.maintain();
+        let stats = store.stats();
+        assert_eq!(
+            (
+                stats.ship_segments,
+                stats.ship_bytes,
+                stats.ship_corrupt_detected
+            ),
+            (0, 0, 0)
+        );
+        // No replica directory is ever created: only the primary station.
+        let dirs: Vec<_> = std::fs::read_dir(&root)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        assert_eq!(dirs, vec![std::ffi::OsString::from(station_dir_name(0))]);
         let _ = std::fs::remove_dir_all(&root);
     }
 }

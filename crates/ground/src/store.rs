@@ -11,7 +11,6 @@ use crate::reference::ReferenceImage;
 use earthplus_raster::{Band, LocationId};
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::RwLock;
 
 /// Cheap FNV-1a hasher for shard selection. Shard routing only needs a
@@ -48,7 +47,7 @@ impl Hasher for ShardHasher {
 /// `shard_count` shards.
 ///
 /// Shared by every backend: [`ShardedReferenceStore`] uses it to pick an
-/// in-memory shard, [`crate::PersistentReferenceStore`] to pick a segment
+/// in-memory shard, [`crate::ReplicatedReferenceStore`] to pick a shard
 /// directory — so multi-ground-station sharding maps one-to-one onto disk
 /// layout, and a shard's files can be rehomed to another station without
 /// re-routing keys.
@@ -80,9 +79,11 @@ type Shard = RwLock<HashMap<(LocationId, Band), ReferenceImage>>;
 /// Concurrent pool of the freshest cloud-free reference per
 /// `(location, band)`, sharded by key hash.
 ///
-/// Same freshest-wins semantics as [`crate::reference::ReferencePool`],
-/// but every method takes `&self`, so the store can be shared across the
-/// ingest worker pool and the uplink scheduler without external locking.
+/// Freshest-wins: a reference replaces the stored one only if strictly
+/// fresher. Every method takes `&self`, so the store can be shared across
+/// the ingest worker pool and the uplink scheduler without external
+/// locking; one shard (`new(1)`) is the single-lock baseline. Parallel
+/// batch ingest is [`crate::ReferenceBackend::ingest_batch`].
 #[derive(Debug)]
 pub struct ShardedReferenceStore {
     shards: Vec<Shard>,
@@ -181,55 +182,6 @@ impl ShardedReferenceStore {
         }
         out
     }
-
-    /// Ingests a batch of downlinked references on a `std::thread` worker
-    /// pool of `threads` workers (clamped to at least 1).
-    ///
-    /// Work is split into contiguous chunks; each worker offers its chunk
-    /// directly against the sharded map, so two workers only contend when
-    /// their keys hash to the same shard. Freshest-wins semantics are
-    /// preserved under any interleaving because `offer` re-checks
-    /// freshness under the shard's write lock.
-    pub fn ingest_batch(
-        &self,
-        mut references: Vec<ReferenceImage>,
-        threads: usize,
-    ) -> IngestReport {
-        let threads = threads.max(1).min(references.len().max(1));
-        let accepted = AtomicU64::new(0);
-        let rejected = AtomicU64::new(0);
-        // Split into owned chunks so workers move references into the
-        // store instead of cloning them.
-        let chunk = references.len().div_ceil(threads).max(1);
-        let mut chunks: Vec<Vec<ReferenceImage>> = Vec::with_capacity(threads);
-        while references.len() > chunk {
-            let tail = references.split_off(references.len() - chunk);
-            chunks.push(tail);
-        }
-        chunks.push(references);
-        std::thread::scope(|scope| {
-            for chunk in chunks {
-                let (accepted, rejected) = (&accepted, &rejected);
-                scope.spawn(move || {
-                    let mut local_accepted = 0u64;
-                    let mut local_rejected = 0u64;
-                    for reference in chunk {
-                        if self.offer(reference) {
-                            local_accepted += 1;
-                        } else {
-                            local_rejected += 1;
-                        }
-                    }
-                    accepted.fetch_add(local_accepted, Ordering::Relaxed);
-                    rejected.fetch_add(local_rejected, Ordering::Relaxed);
-                });
-            }
-        });
-        IngestReport {
-            accepted: accepted.into_inner(),
-            rejected: rejected.into_inner(),
-        }
-    }
 }
 
 impl Default for ShardedReferenceStore {
@@ -241,6 +193,7 @@ impl Default for ShardedReferenceStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::ReferenceBackend;
     use earthplus_raster::{PlanetBand, Raster};
 
     fn reference(location: u32, band: Band, day: f64) -> ReferenceImage {

@@ -5,10 +5,10 @@
 //! *changed* low-resolution pixels relative to the satellite's cached copy
 //! are uploaded ([`compute_delta`]), and when even that does not fit, some
 //! locations are skipped for this contact and served stale from the
-//! on-board cache ([`UplinkPlanner::plan`], §5 *Handling bandwidth
-//! fluctuation*).
+//! on-board cache ([`crate::ConstellationScheduler::plan_pass`], §5
+//! *Handling bandwidth fluctuation*).
 
-use crate::reference::{OnboardReferenceCache, ReferenceImage, ReferencePool};
+use crate::reference::ReferenceImage;
 use earthplus_raster::{Band, LocationId};
 
 /// Bytes per transmitted low-resolution sample (12-bit value padded with
@@ -120,81 +120,6 @@ pub struct UplinkReport {
     pub deltas_skipped: usize,
 }
 
-/// Plans which reference updates to send in one contact window.
-#[derive(Debug, Clone, Copy)]
-pub struct UplinkPlanner {
-    /// Pixel-difference threshold for delta inclusion.
-    pub theta: f32,
-}
-
-impl UplinkPlanner {
-    /// Creates a planner.
-    pub fn new(theta: f32) -> Self {
-        UplinkPlanner { theta }
-    }
-
-    /// Selects updates for the given locations/bands under `budget_bytes`
-    /// and applies them to the satellite's cache.
-    ///
-    /// Stalest cache entries are served first (largest freshness win);
-    /// whatever does not fit is skipped for this contact.
-    pub fn plan(
-        &self,
-        pool: &ReferencePool,
-        cache: &mut OnboardReferenceCache,
-        targets: &[(LocationId, Band)],
-        budget_bytes: u64,
-    ) -> UplinkReport {
-        let mut candidates: Vec<ReferenceDelta> = targets
-            .iter()
-            .filter_map(|&(loc, band)| {
-                let pool_ref = pool.get(loc, band)?;
-                let delta = compute_delta(pool_ref, cache.get(loc, band), self.theta)?;
-                if delta.is_empty() {
-                    // Content identical (e.g. nothing changed on the
-                    // ground): just advance the cache timestamp for free.
-                    cache.apply_delta(loc, band, delta.day, &[], None);
-                    None
-                } else {
-                    Some(delta)
-                }
-            })
-            .collect();
-        // Largest freshness gain first.
-        candidates.sort_by(|a, b| {
-            let age = |d: &ReferenceDelta| {
-                cache
-                    .get(d.location, d.band)
-                    .map(|c| d.day - c.captured_day)
-                    .unwrap_or(f64::INFINITY)
-            };
-            age(b).partial_cmp(&age(a)).expect("ages are finite or inf")
-        });
-
-        let mut report = UplinkReport {
-            bytes_budget: budget_bytes,
-            ..UplinkReport::default()
-        };
-        for delta in candidates {
-            let cost = delta.size_bytes();
-            if report.bytes_used + cost > budget_bytes {
-                report.deltas_skipped += 1;
-                continue;
-            }
-            report.bytes_used += cost;
-            report.deltas_sent += 1;
-            cache.apply_delta(
-                delta.location,
-                delta.band,
-                delta.day,
-                &delta.pixels,
-                delta.full.as_ref(),
-            );
-        }
-        report
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -255,71 +180,6 @@ mod tests {
         let new = make_ref(7.0, |_| 0.5);
         let d = compute_delta(&new, Some(&old), 0.01).unwrap();
         assert!(d.is_empty());
-    }
-
-    #[test]
-    fn planner_respects_budget_and_skips() {
-        let mut pool = ReferencePool::new();
-        let mut cache = OnboardReferenceCache::new();
-        // Three locations needing full installs (~166 bytes each).
-        let mut targets = Vec::new();
-        for loc in 0..3u32 {
-            let mut r = make_ref(5.0, |_| 0.4);
-            r.location = LocationId(loc);
-            pool.offer(r);
-            targets.push((LocationId(loc), band()));
-        }
-        let per_install = compute_delta(pool.get(LocationId(0), band()).unwrap(), None, 0.01)
-            .unwrap()
-            .size_bytes();
-        let planner = UplinkPlanner::new(0.01);
-        let report = planner.plan(&pool, &mut cache, &targets, per_install * 2);
-        assert_eq!(report.deltas_sent, 2);
-        assert_eq!(report.deltas_skipped, 1);
-        assert!(report.bytes_used <= report.bytes_budget);
-        assert_eq!(cache.len(), 2);
-    }
-
-    #[test]
-    fn planner_prioritizes_stalest() {
-        let mut pool = ReferencePool::new();
-        let mut cache = OnboardReferenceCache::new();
-        // Two locations cached at different ages; pool has day-20 for both.
-        for (loc, cached_day) in [(0u32, 18.0f64), (1, 2.0)] {
-            let mut cached = make_ref(cached_day, |_| 0.4);
-            cached.location = LocationId(loc);
-            cache.install(cached);
-            let mut fresh = make_ref(20.0, |_| 0.9);
-            fresh.location = LocationId(loc);
-            pool.offer(fresh);
-        }
-        let targets = vec![(LocationId(0), band()), (LocationId(1), band())];
-        // Budget for exactly one delta.
-        let one = compute_delta(
-            pool.get(LocationId(1), band()).unwrap(),
-            cache.get(LocationId(1), band()),
-            0.01,
-        )
-        .unwrap()
-        .size_bytes();
-        let planner = UplinkPlanner::new(0.01);
-        let report = planner.plan(&pool, &mut cache, &targets, one);
-        assert_eq!(report.deltas_sent, 1);
-        // Location 1 (stalest: cached at day 2) must have won.
-        assert_eq!(cache.get(LocationId(1), band()).unwrap().captured_day, 20.0);
-        assert_eq!(cache.get(LocationId(0), band()).unwrap().captured_day, 18.0);
-    }
-
-    #[test]
-    fn empty_deltas_advance_timestamp_for_free() {
-        let mut pool = ReferencePool::new();
-        let mut cache = OnboardReferenceCache::new();
-        cache.install(make_ref(3.0, |_| 0.5));
-        pool.offer(make_ref(9.0, |_| 0.5)); // same content, newer
-        let planner = UplinkPlanner::new(0.01);
-        let report = planner.plan(&pool, &mut cache, &[(LocationId(0), band())], 10_000);
-        assert_eq!(report.bytes_used, 0);
-        assert_eq!(cache.get(LocationId(0), band()).unwrap().captured_day, 9.0);
     }
 
     #[test]

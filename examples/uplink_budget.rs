@@ -6,12 +6,14 @@
 //! ```
 
 use earthplus::{
-    compute_delta, OnboardReferenceCache, ReferenceImage, ReferencePool, UplinkPlanner,
+    compute_delta, ConstellationScheduler, ContactWindow, EvictingReferenceCache, ReferenceImage,
+    ShardedReferenceStore,
 };
-use earthplus_orbit::LinkModel;
-use earthplus_raster::{Band, LocationId};
+use earthplus_orbit::{LinkModel, SatelliteId};
+use earthplus_raster::LocationId;
 use earthplus_scene::terrain::LocationArchetype;
 use earthplus_scene::{LocationScene, SceneConfig};
+use std::collections::HashMap;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A paper-geometry location: 510 px divides evenly by the 51x factor.
@@ -23,8 +25,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Fresh references for 12 locations the satellite will overfly; the
     // satellite caches 60-day-old versions.
-    let mut pool = ReferencePool::new();
-    let mut cache = OnboardReferenceCache::new();
+    let pool = ShardedReferenceStore::new(1);
+    let mut cached = Vec::new();
     let mut targets = Vec::new();
     for loc in 0..12u32 {
         for &band in &bands {
@@ -34,7 +36,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             old.location = LocationId(loc);
             let mut new = ReferenceImage::from_capture(LocationId(loc), band, 70.0, &new_full, 51)?;
             new.location = LocationId(loc);
-            cache.install(old.clone());
+            cached.push(old.clone());
             pool.offer(new.clone());
             targets.push((LocationId(loc), band));
             if loc == 0 && band == bands[0] {
@@ -52,7 +54,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
     }
 
-    let planner = UplinkPlanner::new(0.01);
+    let scheduler = ConstellationScheduler::new(0.01);
+    let satellite = SatelliteId(0);
     println!(
         "\n{:>16} {:>10} {:>10} {:>6} {:>8}",
         "uplink", "budget B", "used B", "sent", "skipped"
@@ -68,8 +71,22 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ),
         ("emergency 4 KB", 4096u64),
     ] {
-        let mut trial_cache = clone_cache(&cache, &targets);
-        let report = planner.plan(&pool, &mut trial_cache, &targets, budget);
+        // Each trial starts from the same 60-day-old on-board cache.
+        let mut cache = EvictingReferenceCache::new(None);
+        for old in &cached {
+            cache.install(old.clone());
+        }
+        let mut caches = HashMap::from([(satellite, cache)]);
+        let contact = ContactWindow {
+            satellite,
+            day: 70.0,
+            budget_bytes: budget,
+        };
+        let report = scheduler
+            .plan_pass(&pool, &mut caches, &targets, &[contact], || {
+                EvictingReferenceCache::new(None)
+            })
+            .remove(0);
         println!(
             "{label:>16} {budget:>10} {:>10} {:>6} {:>8}",
             report.bytes_used, report.deltas_sent, report.deltas_skipped
@@ -81,18 +98,4 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
          degrades into slightly more downlink rather than failing (§5)."
     );
     Ok(())
-}
-
-// Rebuild an identical cache for each trial (plan() mutates it).
-fn clone_cache(
-    cache: &OnboardReferenceCache,
-    targets: &[(LocationId, Band)],
-) -> OnboardReferenceCache {
-    let mut out = OnboardReferenceCache::new();
-    for &(loc, band) in targets {
-        if let Some(r) = cache.get(loc, band) {
-            out.install(r.clone());
-        }
-    }
-    out
 }

@@ -4,8 +4,8 @@
 //! contact budgets.
 
 use earthplus::{
-    compute_delta, ContactWindow, GroundService, GroundServiceConfig, OnboardReferenceCache,
-    ReferenceImage, ReferencePool,
+    compute_delta, ContactWindow, EvictingReferenceCache, GroundService, GroundServiceConfig,
+    ReferenceImage, ShardedReferenceStore,
 };
 use earthplus_orbit::SatelliteId;
 use earthplus_raster::{Band, LocationId, PlanetBand, Raster};
@@ -37,8 +37,8 @@ fn patterned_ref(location: u32, day: f64, pattern: impl Fn(usize) -> f32) -> Ref
 
 #[test]
 fn delta_round_trip_is_bit_exact_at_theta_zero() {
-    let mut pool = ReferencePool::new();
-    let mut cache = OnboardReferenceCache::new();
+    let pool = ShardedReferenceStore::new(1);
+    let mut cache = EvictingReferenceCache::new(None);
     let old = patterned_ref(0, 3.0, |i| (i % 9) as f32 / 9.0);
     let new = patterned_ref(0, 8.0, |i| {
         if i % 4 == 0 {
@@ -51,7 +51,7 @@ fn delta_round_trip_is_bit_exact_at_theta_zero() {
     pool.offer(new);
 
     let pool_ref = pool.get(LocationId(0), red()).unwrap();
-    let delta = compute_delta(pool_ref, cache.get(LocationId(0), red()), 0.0).unwrap();
+    let delta = compute_delta(&pool_ref, cache.peek(LocationId(0), red()), 0.0).unwrap();
     assert!(
         delta.full.is_none(),
         "warm cache must get a delta, not a full resend"
@@ -64,7 +64,7 @@ fn delta_round_trip_is_bit_exact_at_theta_zero() {
         delta.full.as_ref(),
     );
 
-    let reproduced = cache.get(LocationId(0), red()).unwrap();
+    let reproduced = cache.peek(LocationId(0), red()).unwrap();
     assert_eq!(reproduced.captured_day, pool_ref.captured_day);
     // Bit-exact: every sample identical, not merely within tolerance.
     assert_eq!(
@@ -76,12 +76,12 @@ fn delta_round_trip_is_bit_exact_at_theta_zero() {
 
 #[test]
 fn cold_cache_full_install_round_trip_is_bit_exact() {
-    let mut pool = ReferencePool::new();
-    let mut cache = OnboardReferenceCache::new();
+    let pool = ShardedReferenceStore::new(1);
+    let mut cache = EvictingReferenceCache::new(None);
     pool.offer(patterned_ref(0, 5.0, |i| (i % 13) as f32 / 13.0));
 
     let pool_ref = pool.get(LocationId(0), red()).unwrap();
-    let delta = compute_delta(pool_ref, None, 0.01).unwrap();
+    let delta = compute_delta(&pool_ref, None, 0.01).unwrap();
     assert!(
         delta.full.is_some(),
         "cold cache must receive the full reference"
@@ -94,7 +94,7 @@ fn cold_cache_full_install_round_trip_is_bit_exact() {
         delta.full.as_ref(),
     );
     assert_eq!(
-        cache.get(LocationId(0), red()).unwrap().lowres.as_slice(),
+        cache.peek(LocationId(0), red()).unwrap().lowres.as_slice(),
         pool_ref.lowres.as_slice()
     );
 }

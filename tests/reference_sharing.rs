@@ -2,9 +2,9 @@
 //! cross-satellite sharing, uplink budgeting, and fluctuation handling.
 
 use earthplus::prelude::*;
-use earthplus::{metrics, OnboardReferenceCache, ReferenceImage, ReferencePool, UplinkPlanner};
+use earthplus::{metrics, GroundService, GroundServiceConfig, ReferenceImage};
 use earthplus_cloud::{train_onboard_detector, TrainingConfig};
-use earthplus_orbit::LinkModel;
+use earthplus_orbit::{LinkModel, SatelliteId};
 use earthplus_raster::{Band, LocationId, PlanetBand};
 use earthplus_scene::{large_constellation, LocationScene};
 
@@ -116,19 +116,26 @@ fn pool_and_cache_stay_consistent_through_planning() {
         earthplus_scene::terrain::LocationArchetype::River,
     ));
     let band = Band::Planet(PlanetBand::Red);
-    let mut pool = ReferencePool::new();
-    let mut cache = OnboardReferenceCache::new();
-    let planner = UplinkPlanner::new(0.01);
-    let targets = vec![(LocationId(0), band)];
+    let service = GroundService::new(
+        GroundServiceConfig::default()
+            .with_theta(0.01)
+            .with_targets(vec![(LocationId(0), band)]),
+    );
+    let satellite = SatelliteId(0);
     // Feed the pool with successively fresher references and plan after
     // each; the cache must track the pool's content exactly (unbounded
     // budget).
     for day in [10.0, 20.0, 30.0] {
         let full = scene.ground_reflectance(band, day);
-        pool.offer(ReferenceImage::from_capture(LocationId(0), band, day, &full, 8).unwrap());
-        planner.plan(&pool, &mut cache, &targets, u64::MAX);
-        let cached = cache.get(LocationId(0), band).unwrap();
-        let pooled = pool.get(LocationId(0), band).unwrap();
+        service.ingest_downlink(
+            ReferenceImage::from_capture(LocationId(0), band, day, &full, 8).unwrap(),
+        );
+        service.plan_contact(satellite, day, u64::MAX);
+        let cached = service
+            .with_cache(satellite, |cache| cache.peek(LocationId(0), band).cloned())
+            .flatten()
+            .unwrap();
+        let pooled = service.store().get(LocationId(0), band).unwrap();
         assert_eq!(cached.captured_day, pooled.captured_day);
         for (c, p) in cached
             .lowres

@@ -14,7 +14,7 @@
 //!    that record; the rest survive;
 //! 4. **replay idempotence** — open/close cycles never change state;
 //! 5. **backend equivalence** — the same ingest stream through
-//!    `GroundService` on the in-memory and persistent backends yields the
+//!    `GroundService` on the in-memory and durable backends yields the
 //!    same store state and *identical* uplink schedules;
 //! 6. **group-commit crash equivalence** — a log written by
 //!    `append_batch` and one written by per-record `append` recover to
@@ -22,12 +22,13 @@
 //!    accepting writes afterwards.
 
 use earthplus_ground::{
-    ContactWindow, GroundService, GroundServiceConfig, PersistentReferenceStore, ReferenceBackend,
-    ReferenceBackendConfig, ReferenceImage,
+    ContactWindow, GroundService, GroundServiceConfig, ReferenceBackend, ReferenceImage,
+    ReplicatedReferenceStore, StationSetConfig,
 };
 use earthplus_orbit::SatelliteId;
 use earthplus_raster::{Band, LocationId, Raster};
 use earthplus_refstore::{framed_len, list_segments, RefLog, RefLogConfig, SEGMENT_HEADER_LEN};
+use earthplus_telemetry::{TelemetrySink, TraceSink};
 use std::path::PathBuf;
 
 /// Deterministic splitmix64 PRNG.
@@ -368,10 +369,7 @@ fn backends_agree_on_ingest_and_uplink_schedules() {
         ..GroundServiceConfig::default()
     };
     let in_memory = GroundService::new(config.clone());
-    let persistent = GroundService::new(config.with_backend(ReferenceBackendConfig::Persistent {
-        dir: dir.clone(),
-        log: RefLogConfig::default(),
-    }));
+    let persistent = GroundService::new(config.with_persistence(&dir));
 
     // Interleave randomized ingest rounds and constellation passes.
     for round in 0..6 {
@@ -423,10 +421,13 @@ fn backends_agree_on_ingest_and_uplink_schedules() {
     // And the persistent half survives a restart with the same content.
     let stats = persistent.stats();
     drop(persistent);
-    let (revived, report) = PersistentReferenceStore::open(
+    let (revived, report) = ReplicatedReferenceStore::open(
         &dir,
         GroundServiceConfig::default().shards,
-        RefLogConfig::default(),
+        StationSetConfig::one_station(RefLogConfig::default()),
+        None,
+        &TelemetrySink::disabled(),
+        &TraceSink::disabled(),
     )
     .unwrap();
     assert!(report.clean());
