@@ -22,11 +22,17 @@
 //!   against the committed baseline at `<path>` and exit non-zero below
 //!   [`CHECK_MIN_RATIO`]× of any. The generous ratio absorbs machine
 //!   differences (CI runners vs the container the baseline was committed
-//!   from) while still catching catastrophic codec regressions.
+//!   from) while still catching catastrophic codec regressions. The same
+//!   flag also fails the run when any histogram-fed `stages.*_s` value
+//!   it reports is zero (a missing histogram reads as zero), so a split
+//!   cannot silently go dark.
 //!
 //! Per-stage seconds come from the strategy's own [`StageTimings`] (the
 //! quantities of the paper's Figure 16); throughput is reported in
-//! megapixels per second of capture data processed. Since the EPC2 format
+//! megapixels per second of capture data processed. Since schema 8 the
+//! `capture` section also reports the ground-side decode + patch the
+//! strategy performs inline (`ground_patch_s`) and `unattributed_s`:
+//! `total_s` minus the four timed stages. Since the EPC2 format
 //! bump the encoder microbenchmark times **both formats** — the EPC2
 //! default and the frozen EPC1 path — against the vendored pre-refactor
 //! reference encoder, interleaved in-process so machine-load drift cancels
@@ -44,9 +50,13 @@
 //!
 //! Since the word-parallel bitplane coder (schema 7) the report also
 //! carries a per-stage breakdown of the codec's own hot loops — DWT
-//! transform, bitplane pass coding, (de)quantization — from the scratch
-//! arenas' [`StageBreakdown`] accumulators, for the full-band EPC2 encode
-//! and both full decodes. The range coder is inlined into the bitplane
+//! transform, bitplane pass coding, (de)quantization — for the full-band
+//! EPC2 encode and both full decodes. Since schema 8 that split is read
+//! from registry snapshots of the telemetry-enabled interleaved pass
+//! (the `codec.{encode,decode}.*_ns` histograms the codec's stage guards
+//! feed), so the numbers committed here are the numbers a mission
+//! exports; `other_s` is the enabled run's median total minus the
+//! tracked stages. The range coder is inlined into the bitplane
 //! passes, so its share cannot be split out by wall clock; instead the
 //! `range_coder` section characterizes its intrinsic rate (ns/decision,
 //! encode and decode) on a synthetic biased stream with no pass traversal
@@ -80,7 +90,7 @@ use earthplus_cloud::{train_onboard_detector, TrainingConfig};
 use earthplus_codec::rangecoder::{BitModel, RangeDecoder, RangeEncoder};
 use earthplus_codec::{
     decode_into, decode_ll_only, decode_with_scratch, encode_roi_with_scratch, reference,
-    CodecConfig, CodecScratch, DecodeScratch, FormatVersion, StageBreakdown,
+    CodecConfig, CodecScratch, DecodeScratch, FormatVersion,
 };
 use earthplus_ground::{
     ReferenceBackend, ReferenceImage, ReplicatedReferenceStore, ShipQueueConfig, StationSetConfig,
@@ -90,6 +100,7 @@ use earthplus_raster::{downsample_box, LocationId, Raster, TileGrid, TileMask};
 use earthplus_refstore::RefLogConfig;
 use earthplus_scene::terrain::LocationArchetype;
 use earthplus_scene::{LocationScene, SceneConfig};
+use earthplus_telemetry::{names, Snapshot};
 use std::time::Instant;
 
 /// `--check` fails when this run's EPC2 encode or full-decode throughput
@@ -104,8 +115,10 @@ const DECODE_LL_MIN_SPEEDUP: f64 = 5.0;
 
 /// Minimum telemetry-enabled encode/decode throughput as a fraction of
 /// the disabled-telemetry throughput, measured interleaved in-process.
-/// The instrumentation is a handful of `SpanTimer`s per tile; anything
-/// below this floor means a hot-path regression, not noise.
+/// The instrumentation is one stage guard per call plus one per codec
+/// sub-stage (per subband chunk on the decode side), each two clock
+/// reads and a histogram record; anything below this floor means a
+/// hot-path regression, not noise.
 const TELEMETRY_MIN_RATIO: f64 = 0.9;
 
 /// Minimum recorder-enabled (tracing) encode/decode throughput as a
@@ -119,14 +132,26 @@ fn median(samples: &mut [f64]) -> f64 {
     samples[samples.len() / 2]
 }
 
-/// Seconds per stage between two [`StageBreakdown`] snapshots of the same
-/// arena: `(dwt, bitplane, quantize)`.
-fn stage_delta(before: StageBreakdown, after: StageBreakdown) -> (f64, f64, f64) {
-    (
-        (after.dwt - before.dwt).as_secs_f64(),
-        (after.bitplane - before.bitplane).as_secs_f64(),
-        (after.quantize - before.quantize).as_secs_f64(),
-    )
+/// The codec sub-stage histograms of one direction, in
+/// `(dwt, bitplane, quantize)` order.
+const ENCODE_STAGES: [&str; 3] = [
+    names::CODEC_ENCODE_DWT_NS,
+    names::CODEC_ENCODE_BITPLANE_NS,
+    names::CODEC_ENCODE_QUANTIZE_NS,
+];
+const DECODE_STAGES: [&str; 3] = [
+    names::CODEC_DECODE_DWT_NS,
+    names::CODEC_DECODE_BITPLANE_NS,
+    names::CODEC_DECODE_DEQUANTIZE_NS,
+];
+
+/// Seconds per stage recorded between two registry snapshots:
+/// `(dwt, bitplane, quantize)`. A histogram missing from the run reads
+/// as zero, which `--check` rejects.
+fn stage_delta(before: &Snapshot, after: &Snapshot, stages: [&str; 3]) -> (f64, f64, f64) {
+    let delta = after.delta(before);
+    let secs = |name| delta.histogram(name).map_or(0.0, |h| h.sum as f64 * 1e-9);
+    (secs(stages[0]), secs(stages[1]), secs(stages[2]))
 }
 
 /// Per-stage sample accumulator: one `(dwt, bitplane, quantize)` triple
@@ -207,7 +232,8 @@ fn main() {
     let capture_mpix = (w * h * bands) as f64 / 1e6;
 
     // 1. Steady-state capture: warm the reference path, then time one
-    //    capture end to end; per-stage seconds from the strategy itself.
+    //    capture end to end; per-stage seconds from the strategy itself
+    //    (its stage guards are timed with every sink off).
     let mut totals: Vec<f64> = Vec::with_capacity(reps);
     let mut stages: Vec<StageTimings> = Vec::with_capacity(reps);
     let mut tile_fraction = 0.0f64;
@@ -237,10 +263,13 @@ fn main() {
     let mut cloud: Vec<f64> = stages.iter().map(|t| t.cloud_s).collect();
     let mut change: Vec<f64> = stages.iter().map(|t| t.change_s).collect();
     let mut encode: Vec<f64> = stages.iter().map(|t| t.encode_s).collect();
+    let mut ground_patch: Vec<f64> = stages.iter().map(|t| t.ground_patch_s).collect();
     let cloud_s = median(&mut cloud);
     let change_s = median(&mut change);
     let encode_s = median(&mut encode);
+    let ground_patch_s = median(&mut ground_patch);
     let total_s = median(&mut totals);
+    let unattributed_s = total_s - cloud_s - change_s - encode_s - ground_patch_s;
     // Pixels actually pushed through the encoder (changed tiles only).
     let encoded_mpix = tile_fraction * capture_mpix;
 
@@ -277,7 +306,6 @@ fn main() {
         .expect("EPC2 stream must decode");
     let (mut ref_times, mut epc1_times, mut epc2_times) = (Vec::new(), Vec::new(), Vec::new());
     let (mut epc2_vs_ref, mut epc2_vs_epc1) = (Vec::new(), Vec::new());
-    let mut enc_stages = StageSamples::default();
     for _ in 0..reps.max(8) {
         let t = Instant::now();
         let _ = reference::encode_roi_reference(&band_raster, &grid, &all, &epc1, budget);
@@ -285,11 +313,9 @@ fn main() {
         let t = Instant::now();
         let _ = encode_roi_with_scratch(&band_raster, &grid, &all, &epc1, budget, &mut scratch);
         let n1 = t.elapsed().as_secs_f64();
-        let s0 = scratch.stages();
         let t = Instant::now();
         let _ = encode_roi_with_scratch(&band_raster, &grid, &all, &epc2, budget, &mut scratch);
         let n2 = t.elapsed().as_secs_f64();
-        enc_stages.push(stage_delta(s0, scratch.stages()));
         ref_times.push(r);
         epc1_times.push(n1);
         epc2_times.push(n2);
@@ -330,22 +356,16 @@ fn main() {
     let decode_grow_before = dscratch.grow_events();
     let (mut dec_full_times, mut dec_epc1_times, mut dec_ll_times, mut ll_speedups) =
         (Vec::new(), Vec::new(), Vec::new(), Vec::new());
-    let mut dec_stages = StageSamples::default();
-    let mut dec_epc1_stages = StageSamples::default();
     for _ in 0..reps.max(8) {
-        let s0 = dscratch.stages();
         let t = Instant::now();
         decode_into(&full_enc, 0, &mut dscratch, &mut dec_out).expect("full decode");
         let full_s = t.elapsed().as_secs_f64();
-        dec_stages.push(stage_delta(s0, dscratch.stages()));
         let t = Instant::now();
         let _ = downsample_box(&dec_out, ds_factor).expect("downsample");
         let ds_s = t.elapsed().as_secs_f64();
-        let s0 = dscratch.stages();
         let t = Instant::now();
         decode_into(&full_enc1, 0, &mut dscratch, &mut dec_out).expect("full EPC1 decode");
         let epc1_s = t.elapsed().as_secs_f64();
-        dec_epc1_stages.push(stage_delta(s0, dscratch.stages()));
         let t = Instant::now();
         let _ = decode_ll_only(&full_enc, &mut dscratch).expect("LL-only decode");
         let ll_s = t.elapsed().as_secs_f64();
@@ -412,7 +432,10 @@ fn main() {
     //    with the disabled-telemetry arenas so the ratios are load-immune.
     //    The disabled arenas also carry an explicitly disabled trace sink
     //    (identical to the default), so every "off" number below is the
-    //    tracing-disabled path the --check gate guards.
+    //    tracing-disabled path the --check gate guards. Registry
+    //    snapshots around each enabled call (outside the timed regions)
+    //    give the per-stage split; a full EPC1 decode on the enabled
+    //    arena, after the timed pairs, gives its split.
     let registry = MetricsRegistry::new();
     let mut scratch_on = CodecScratch::new();
     scratch_on.set_telemetry(&registry.sink());
@@ -427,25 +450,41 @@ fn main() {
         (Vec::new(), Vec::new(), Vec::new());
     let (mut tel_dec_on_times, mut tel_dec_off_times, mut tel_dec_ratios) =
         (Vec::new(), Vec::new(), Vec::new());
+    let mut tel_dec_epc1_times = Vec::new();
+    let mut enc_stages = StageSamples::default();
+    let mut dec_stages = StageSamples::default();
+    let mut dec_epc1_stages = StageSamples::default();
     for _ in 0..reps.max(8) {
+        let before = registry.snapshot();
         let t = Instant::now();
         let _ = encode_roi_with_scratch(&band_raster, &grid, &all, &epc2, budget, &mut scratch_on);
         let on = t.elapsed().as_secs_f64();
+        let after = registry.snapshot();
+        enc_stages.push(stage_delta(&before, &after, ENCODE_STAGES));
         let t = Instant::now();
         let _ = encode_roi_with_scratch(&band_raster, &grid, &all, &epc2, budget, &mut scratch);
         let off = t.elapsed().as_secs_f64();
         tel_on_times.push(on);
         tel_off_times.push(off);
         tel_ratios.push(off / on);
+        let before = registry.snapshot();
         let t = Instant::now();
         let _ = decode_with_scratch(&full_enc, &mut dscratch_on).expect("full decode");
         let dec_on = t.elapsed().as_secs_f64();
+        let after = registry.snapshot();
+        dec_stages.push(stage_delta(&before, &after, DECODE_STAGES));
         let t = Instant::now();
         let _ = decode_with_scratch(&full_enc, &mut dscratch).expect("full decode");
         let dec_off = t.elapsed().as_secs_f64();
         tel_dec_on_times.push(dec_on);
         tel_dec_off_times.push(dec_off);
         tel_dec_ratios.push(dec_off / dec_on);
+        let before = registry.snapshot();
+        let t = Instant::now();
+        let _ = decode_with_scratch(&full_enc1, &mut dscratch_on).expect("full EPC1 decode");
+        tel_dec_epc1_times.push(t.elapsed().as_secs_f64());
+        let after = registry.snapshot();
+        dec_epc1_stages.push(stage_delta(&before, &after, DECODE_STAGES));
     }
     let telemetry_on_s = median(&mut tel_on_times);
     let telemetry_off_s = median(&mut tel_off_times);
@@ -453,6 +492,7 @@ fn main() {
     let telemetry_dec_on_s = median(&mut tel_dec_on_times);
     let telemetry_dec_off_s = median(&mut tel_dec_off_times);
     let telemetry_dec_ratio = median(&mut tel_dec_ratios);
+    let telemetry_dec_epc1_on_s = median(&mut tel_dec_epc1_times);
 
     // 5. Tracing overhead: a flight recorder capturing the codec's spans
     //    (one Begin/End pair per encode/decode call), interleaved with
@@ -580,13 +620,27 @@ fn main() {
     let ship_sync_s = median(&mut ship_sync_times);
     let ship_pipelined_s = median(&mut ship_pipelined_times);
 
-    let (enc_dwt_s, enc_bitplane_s, enc_quant_s, enc_other_s) = enc_stages.report(epc2_s);
-    let (dec_dwt_s, dec_bitplane_s, dec_quant_s, dec_other_s) = dec_stages.report(dec_full_s);
+    let (enc_dwt_s, enc_bitplane_s, enc_quant_s, enc_other_s) = enc_stages.report(telemetry_on_s);
+    let (dec_dwt_s, dec_bitplane_s, dec_quant_s, dec_other_s) =
+        dec_stages.report(telemetry_dec_on_s);
     let (dec1_dwt_s, dec1_bitplane_s, dec1_quant_s, dec1_other_s) =
-        dec_epc1_stages.report(dec_epc1_s);
+        dec_epc1_stages.report(telemetry_dec_epc1_on_s);
+    // The histogram-fed split `--check` requires to be non-zero (the
+    // `other_s` remainders are floored at zero and may read 0).
+    let histogram_stages = [
+        ("encode_full_band.stages.dwt_s", enc_dwt_s),
+        ("encode_full_band.stages.bitplane_s", enc_bitplane_s),
+        ("encode_full_band.stages.quantize_s", enc_quant_s),
+        ("decode_full.stages.bitplane_s", dec_bitplane_s),
+        ("decode_full.stages.dequantize_s", dec_quant_s),
+        ("decode_full.stages.inverse_dwt_s", dec_dwt_s),
+        ("decode_full_epc1.stages.bitplane_s", dec1_bitplane_s),
+        ("decode_full_epc1.stages.dequantize_s", dec1_quant_s),
+        ("decode_full_epc1.stages.inverse_dwt_s", dec1_dwt_s),
+    ];
     let json = format!(
         r#"{{
-  "schema": 7,
+  "schema": 8,
   "scenario": "pipeline_runtime quick scene (seed 7, agriculture, {w}x{h}, {bands} bands)",
   "mode": "{mode}",
   "samples": {reps},
@@ -595,6 +649,8 @@ fn main() {
     "cloud_s": {cloud_s:.6},
     "change_s": {change_s:.6},
     "encode_s": {encode_s:.6},
+    "ground_patch_s": {ground_patch_s:.6},
+    "unattributed_s": {unattributed_s:.6},
     "capture_mpix": {capture_mpix:.4},
     "encoded_mpix": {encoded_mpix:.4},
     "pipeline_mpix_per_s": {pipeline_rate:.3}
@@ -779,6 +835,15 @@ fn main() {
                 eprintln!(
                     "ERROR: {section} regression — {measured:.3} MPix/s is below \
                      {CHECK_MIN_RATIO}x the committed {committed_rate:.3}"
+                );
+                failed = true;
+            }
+        }
+        for (key, seconds) in histogram_stages {
+            if seconds <= 0.0 {
+                eprintln!(
+                    "ERROR: {key} is zero — its codec stage histogram recorded nothing \
+                     (missing or dark)"
                 );
                 failed = true;
             }

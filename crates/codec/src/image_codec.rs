@@ -30,7 +30,7 @@ use crate::scratch::{CodecScratch, DecodeScratch};
 use crate::{CodecError, DecodeError};
 use bytes::{Buf, BufMut, Bytes};
 use earthplus_raster::{Raster, TileView};
-use earthplus_telemetry::SpanTimer;
+use earthplus_telemetry::StageGuard;
 
 /// Magic number identifying an encoded image ("EP" wavelet codec).
 const MAGIC: u32 = 0x4550_5743;
@@ -636,19 +636,16 @@ fn encode_view_impl(
             pixels: w as u64 * h as u64,
         });
     }
-    // The span clones its histogram handle, so the borrow of `scratch`
-    // ends immediately; a disabled handle never reads the clock.
-    let _span = SpanTimer::start(match config.format {
-        FormatVersion::Epc1 => &scratch.enc_epc1_ns,
-        FormatVersion::Epc2 => &scratch.enc_epc2_ns,
-    });
-    let mut trace = scratch.tracing.span(
-        "codec",
-        match config.format {
-            FormatVersion::Epc1 => "encode.epc1",
-            FormatVersion::Epc2 => "encode.epc2",
-        },
-    );
+    // The guard clones its handles, so the borrow of `scratch` ends
+    // immediately; with both sinks disabled it never reads the clock.
+    let (stage_ns, stage_name) = match config.format {
+        FormatVersion::Epc1 => (&scratch.enc_epc1_ns, "encode.epc1"),
+        FormatVersion::Epc2 => (&scratch.enc_epc2_ns, "encode.epc2"),
+    };
+    let mut stage = scratch
+        .tracing
+        .span("codec", stage_name)
+        .with_histogram(stage_ns);
     let levels = config.levels.min(dwt::max_levels(w, h));
     let scale = config.input_levels as f32;
     // Gather + scale in one pass (this replaces the old extract-tile copy
@@ -660,7 +657,7 @@ fn encode_view_impl(
             .samples
             .extend(row.iter().map(|&v| (v * scale).round()));
     }
-    let t = std::time::Instant::now();
+    let dwt_stage = StageGuard::new(&scratch.enc_dwt_ns);
     dwt::forward_into(
         &mut scratch.samples,
         w,
@@ -670,9 +667,9 @@ fn encode_view_impl(
         &mut scratch.dwt_line,
         &mut scratch.dwt_block,
     );
-    scratch.stages.dwt += t.elapsed();
+    drop(dwt_stage);
     let step = config.quant_step.max(1e-6);
-    let t = std::time::Instant::now();
+    let quantize_stage = StageGuard::new(&scratch.enc_quantize_ns);
     scratch.quantized.clear();
     // Deadzone quantizer: truncate toward zero (`as` truncates, which
     // equals the floor of the non-negative quotient). Unit step — the
@@ -697,15 +694,15 @@ fn encode_view_impl(
             }
         }));
     }
-    scratch.stages.quantize += t.elapsed();
+    drop(quantize_stage);
     let image = match config.format {
         FormatVersion::Epc1 => {
             // The coefficient buffer moves out of the arena for the borrow
             // and straight back in — no allocation.
             let quantized = std::mem::take(&mut scratch.quantized);
-            let t = std::time::Instant::now();
+            let bitplane_stage = StageGuard::new(&scratch.enc_bitplane_ns);
             let planes = encode_planes_into(&quantized, w, scratch);
-            scratch.stages.bitplane += t.elapsed();
+            drop(bitplane_stage);
             scratch.quantized = quantized;
             // Historical EPC1 wire form: the payload is cut at the largest
             // pass boundary inside the budget, but the header keeps the
@@ -739,7 +736,7 @@ fn encode_view_impl(
         FormatVersion::Epc2 => encode_epc2(w, h, levels, step, config, budget, scratch),
     };
     scratch.enc_bytes.record(image.payload.len() as u64);
-    trace.arg("payload_bytes", image.payload.len());
+    stage.arg("payload_bytes", image.payload.len());
     scratch.track_growth();
     Ok(image)
 }
@@ -769,6 +766,9 @@ fn encode_epc2(
     scratch.stream.clear();
     let quantized = std::mem::take(&mut scratch.quantized);
     let mut subbands: Vec<SubbandChunk> = Vec::with_capacity(rects.len());
+    // One bitplane stage for the whole chunk loop (gathers and appends
+    // included): a guard per chunk would cost two clock reads per subband.
+    let bitplane_stage = StageGuard::new(&scratch.enc_bitplane_ns);
     for rect in &rects {
         if budget.is_some_and(|max| scratch.stream.len() >= max) {
             // This chunk would start at or past the cut: nothing of it can
@@ -787,9 +787,7 @@ fn encode_epc2(
                 .extend_from_slice(&quantized[base..base + rect.w]);
         }
         let sb_coeffs = std::mem::take(&mut scratch.sb_coeffs);
-        let t = std::time::Instant::now();
         let planes = encode_planes_v2_into(&sb_coeffs, rect.w, scratch);
-        scratch.stages.bitplane += t.elapsed();
         scratch.sb_coeffs = sb_coeffs;
         // Append exactly the chunk's recorded length — the padding in the
         // plane coder guarantees `payload.len()` reaches the last offset.
@@ -813,6 +811,7 @@ fn encode_epc2(
             offsets: scratch.pass_offsets.clone(),
         });
     }
+    drop(bitplane_stage);
     scratch.quantized = quantized;
     scratch.sb_rects = rects;
     let full = EncodedImage {
@@ -942,28 +941,19 @@ pub fn decode_into(
     let k = discard_levels.min(encoded.levels);
     // Partial decodes (any discarded level, including LL-only) share one
     // histogram regardless of format; full decodes split per format. The
-    // span clones its handle, so the borrow of `scratch` ends immediately.
-    let _span = SpanTimer::start(if k > 0 {
-        &scratch.dec_partial_ns
-    } else {
-        match encoded.format {
-            FormatVersion::Epc1 => &scratch.dec_epc1_ns,
-            FormatVersion::Epc2 => &scratch.dec_epc2_ns,
-        }
-    });
-    let mut trace = scratch.tracing.span(
-        "codec",
-        if k > 0 {
-            "decode.partial"
-        } else {
-            match encoded.format {
-                FormatVersion::Epc1 => "decode.epc1",
-                FormatVersion::Epc2 => "decode.epc2",
-            }
-        },
-    );
-    trace.arg("payload_bytes", encoded.payload_len());
-    trace.arg("discard_levels", k);
+    // guard clones its handles, so the borrow of `scratch` ends
+    // immediately.
+    let (stage_ns, stage_name) = match (k > 0, encoded.format) {
+        (true, _) => (&scratch.dec_partial_ns, "decode.partial"),
+        (false, FormatVersion::Epc1) => (&scratch.dec_epc1_ns, "decode.epc1"),
+        (false, FormatVersion::Epc2) => (&scratch.dec_epc2_ns, "decode.epc2"),
+    };
+    let mut stage = scratch
+        .tracing
+        .span("codec", stage_name)
+        .with_histogram(stage_ns);
+    stage.arg("payload_bytes", encoded.payload_len());
+    stage.arg("discard_levels", k);
     let keep = encoded.levels - k;
     let (rw, rh) = dwt::reduced_dims(w, h, k);
     out.reset(rw, rh);
@@ -981,7 +971,7 @@ pub fn decode_into(
             result?;
         }
     }
-    let t = std::time::Instant::now();
+    let dwt_stage = StageGuard::new(&scratch.dec_dwt_ns);
     {
         let DecodeScratch {
             coeffs,
@@ -999,13 +989,13 @@ pub fn decode_into(
             dwt_planar,
         );
     }
-    scratch.stages.dwt += t.elapsed();
+    drop(dwt_stage);
     // The stopped inverse leaves level-k low-pass samples, which still
     // carry the analysis low-pass DC gain once per discarded level per
     // axis; divide it back out along with the input scaling. With k = 0
     // the gain factor is exactly 1 and this is the historical full-decode
     // mapping, bit for bit.
-    let t = std::time::Instant::now();
+    let dequantize_stage = StageGuard::new(&scratch.dec_dequantize_ns);
     let norm =
         encoded.input_levels as f32 * dwt::low_pass_dc_gain(encoded.wavelet).powi(2 * k as i32);
     for (dst, &v) in out
@@ -1015,7 +1005,7 @@ pub fn decode_into(
     {
         *dst = (v / norm).clamp(0.0, 1.0);
     }
-    scratch.stages.quantize += t.elapsed();
+    drop(dequantize_stage);
     scratch.track_growth();
     Ok(())
 }
@@ -1089,7 +1079,7 @@ fn decode_epc1_reduced(
         .iter()
         .take_while(|&&o| o as usize <= payload.len())
         .count();
-    let t = std::time::Instant::now();
+    let bitplane_stage = StageGuard::new(&scratch.dec_bitplane_ns);
     bitplane::decode_planes_core(
         payload,
         count,
@@ -1098,12 +1088,12 @@ fn decode_epc1_reduced(
         &encoded.pass_offsets,
         scratch,
     );
-    scratch.stages.bitplane += t.elapsed();
+    drop(bitplane_stage);
     let total_passes = encoded.planes as usize * 2;
     let lowest_plane = encoded.planes as usize - available_passes.min(total_passes).div_ceil(2);
     let bias = reconstruction_bias(encoded, lowest_plane);
     let step = encoded.quant_step;
-    let t = std::time::Instant::now();
+    let dequantize_stage = StageGuard::new(&scratch.dec_dequantize_ns);
     let DecodeScratch {
         mag,
         neg_words,
@@ -1114,7 +1104,7 @@ fn decode_epc1_reduced(
         let dst = &mut coeffs[r * rw..(r + 1) * rw];
         dequantize_row_fused(mag, neg_words, r * w, dst, bias, step);
     }
-    scratch.stages.quantize += t.elapsed();
+    drop(dequantize_stage);
     Ok(())
 }
 
@@ -1176,7 +1166,7 @@ fn decode_epc2_reduced(
             .iter()
             .take_while(|&&o| o as usize <= slice.len())
             .count();
-        let t = std::time::Instant::now();
+        let bitplane_stage = StageGuard::new(&scratch.dec_bitplane_ns);
         bitplane::decode_planes_v2_core(
             slice,
             rect.count(),
@@ -1185,11 +1175,11 @@ fn decode_epc2_reduced(
             &chunk.offsets,
             scratch,
         );
-        scratch.stages.bitplane += t.elapsed();
+        drop(bitplane_stage);
         let total_passes = chunk.planes as usize * 2;
         let lowest_plane = chunk.planes as usize - available.min(total_passes).div_ceil(2);
         let bias = reconstruction_bias(encoded, lowest_plane);
-        let t = std::time::Instant::now();
+        let dequantize_stage = StageGuard::new(&scratch.dec_dequantize_ns);
         let DecodeScratch {
             mag,
             neg_words,
@@ -1201,7 +1191,7 @@ fn decode_epc2_reduced(
             let dst = &mut coeffs[base..base + rect.w];
             dequantize_row_fused(mag, neg_words, r * rect.w, dst, bias, step);
         }
-        scratch.stages.quantize += t.elapsed();
+        drop(dequantize_stage);
     }
     Ok(())
 }

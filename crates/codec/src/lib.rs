@@ -57,7 +57,7 @@ pub use image_codec::{
     FormatVersion, SubbandChunk, MAX_PIXELS,
 };
 pub use roi::{encode_roi, encode_roi_with_scratch, tile_budget_bytes, EncodedTile, RoiBitstream};
-pub use scratch::{CodecScratch, DecodeScratch, StageBreakdown};
+pub use scratch::{CodecScratch, DecodeScratch};
 
 use std::error::Error;
 use std::fmt;

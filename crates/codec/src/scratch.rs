@@ -23,39 +23,6 @@
 
 use earthplus_telemetry::{names, Histogram, TelemetrySink, TraceSink};
 
-/// Cumulative wall-clock time per codec stage, accumulated across every
-/// encode or decode call threaded through the owning arena. A measured
-/// window is `reset()` + N calls + read: `perf_baseline` divides the
-/// accumulated durations by N for its per-stage report. The bracketing
-/// `Instant` reads (at most two per subband chunk) are noise against the
-/// millisecond-scale stages they time.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct StageBreakdown {
-    /// Forward (encode) or inverse (decode) wavelet transform.
-    pub dwt: std::time::Duration,
-    /// Bitplane pass coding. The range-coder arithmetic is inlined into
-    /// the passes, so its time is included here — the coder's intrinsic
-    /// per-decision rate is characterized separately (see the
-    /// `range_coder` section of the `perf_baseline` report).
-    pub bitplane: std::time::Duration,
-    /// Deadzone quantization (encode) or fused dequantization plus output
-    /// normalization (decode).
-    pub quantize: std::time::Duration,
-}
-
-impl StageBreakdown {
-    /// Zeroes the accumulators (start of a measured window).
-    pub fn reset(&mut self) {
-        *self = Self::default();
-    }
-
-    /// Sum of the tracked stages; subtract from end-to-end wall clock to
-    /// get the untracked remainder (headers, gathers, copies).
-    pub fn tracked(&self) -> std::time::Duration {
-        self.dwt + self.bitplane + self.quantize
-    }
-}
-
 /// Reusable buffers for the DWT → quantize → bitplane → range-code path.
 ///
 /// Create one per encoding context (e.g. per strategy instance) and pass
@@ -107,10 +74,14 @@ pub struct CodecScratch {
     pub(crate) enc_epc2_ns: Histogram,
     /// Encoded payload size per encode call (disabled by default).
     pub(crate) enc_bytes: Histogram,
+    /// Forward-DWT latency per encode call (disabled by default).
+    pub(crate) enc_dwt_ns: Histogram,
+    /// Quantization latency per encode call (disabled by default).
+    pub(crate) enc_quantize_ns: Histogram,
+    /// Bitplane coding latency per encode call (disabled by default).
+    pub(crate) enc_bitplane_ns: Histogram,
     /// Per-call trace spans on the flight recorder (disabled by default).
     pub(crate) tracing: TraceSink,
-    /// Per-stage wall-clock accumulators (see [`StageBreakdown`]).
-    pub(crate) stages: StageBreakdown,
     /// Capacity sum observed after the previous encode call.
     last_capacity: usize,
     grow_events: u64,
@@ -153,14 +124,18 @@ impl CodecScratch {
     /// ([`CODEC_ENCODE_EPC1_NS`](earthplus_telemetry::names::CODEC_ENCODE_EPC1_NS)
     /// / [`CODEC_ENCODE_EPC2_NS`](earthplus_telemetry::names::CODEC_ENCODE_EPC2_NS))
     /// and a payload-size sample
-    /// ([`CODEC_ENCODE_BYTES`](earthplus_telemetry::names::CODEC_ENCODE_BYTES)).
-    /// The handles live in the scratch arena — resolved once here, not per
-    /// call — and a disabled sink leaves them as no-ops, so uninstrumented
-    /// encoding pays one pointer check per call.
+    /// ([`CODEC_ENCODE_BYTES`](earthplus_telemetry::names::CODEC_ENCODE_BYTES)),
+    /// plus the `codec.encode.{dwt,quantize,bitplane}_ns` sub-stages
+    /// (histograms only). The handles are resolved once here, not per
+    /// call; a disabled sink leaves them as no-ops, so uninstrumented
+    /// encoding reads no clock at all.
     pub fn set_telemetry(&mut self, sink: &TelemetrySink) {
         self.enc_epc1_ns = sink.histogram(names::CODEC_ENCODE_EPC1_NS);
         self.enc_epc2_ns = sink.histogram(names::CODEC_ENCODE_EPC2_NS);
         self.enc_bytes = sink.histogram(names::CODEC_ENCODE_BYTES);
+        self.enc_dwt_ns = sink.histogram(names::CODEC_ENCODE_DWT_NS);
+        self.enc_quantize_ns = sink.histogram(names::CODEC_ENCODE_QUANTIZE_NS);
+        self.enc_bitplane_ns = sink.histogram(names::CODEC_ENCODE_BITPLANE_NS);
     }
 
     /// Wires this arena's trace events to `sink`: every encode call then
@@ -178,17 +153,6 @@ impl CodecScratch {
             self.grow_events += 1;
             self.last_capacity = now;
         }
-    }
-
-    /// Per-stage wall-clock time accumulated by every encode call since
-    /// the last [`reset_stages`](Self::reset_stages).
-    pub fn stages(&self) -> StageBreakdown {
-        self.stages
-    }
-
-    /// Starts a new stage-timing window.
-    pub fn reset_stages(&mut self) {
-        self.stages.reset();
     }
 }
 
@@ -245,10 +209,14 @@ pub struct DecodeScratch {
     /// Partial (level-limited / LL-only) decode latency span target
     /// (disabled by default).
     pub(crate) dec_partial_ns: Histogram,
+    /// Inverse-DWT latency per decode call (disabled by default).
+    pub(crate) dec_dwt_ns: Histogram,
+    /// Dequantization latency per block and per call (disabled by default).
+    pub(crate) dec_dequantize_ns: Histogram,
+    /// Bitplane decoding latency per decoded block (disabled by default).
+    pub(crate) dec_bitplane_ns: Histogram,
     /// Per-call trace spans on the flight recorder (disabled by default).
     pub(crate) tracing: TraceSink,
-    /// Per-stage wall-clock accumulators (see [`StageBreakdown`]).
-    pub(crate) stages: StageBreakdown,
     /// Payload bytes the last decode call handed to the bitplane decoders
     /// — the byte-access counter the seek tests assert against (an
     /// LL-only decode of an EPC2 stream must never touch bytes past the
@@ -296,12 +264,16 @@ impl DecodeScratch {
     /// / [`CODEC_DECODE_EPC2_NS`](earthplus_telemetry::names::CODEC_DECODE_EPC2_NS)),
     /// and
     /// [`CODEC_DECODE_PARTIAL_NS`](earthplus_telemetry::names::CODEC_DECODE_PARTIAL_NS)
-    /// for level-limited / LL-only decodes. A disabled sink leaves the
-    /// handles as no-ops.
+    /// for level-limited / LL-only decodes — plus the
+    /// `codec.decode.{bitplane,dequantize,dwt}_ns` sub-stages (histograms
+    /// only). A disabled sink leaves the handles as no-ops.
     pub fn set_telemetry(&mut self, sink: &TelemetrySink) {
         self.dec_epc1_ns = sink.histogram(names::CODEC_DECODE_EPC1_NS);
         self.dec_epc2_ns = sink.histogram(names::CODEC_DECODE_EPC2_NS);
         self.dec_partial_ns = sink.histogram(names::CODEC_DECODE_PARTIAL_NS);
+        self.dec_dwt_ns = sink.histogram(names::CODEC_DECODE_DWT_NS);
+        self.dec_dequantize_ns = sink.histogram(names::CODEC_DECODE_DEQUANTIZE_NS);
+        self.dec_bitplane_ns = sink.histogram(names::CODEC_DECODE_BITPLANE_NS);
     }
 
     /// Wires this arena's trace events to `sink`: every decode call then
@@ -326,17 +298,6 @@ impl DecodeScratch {
             self.grow_events += 1;
             self.last_capacity = now;
         }
-    }
-
-    /// Per-stage wall-clock time accumulated by every decode call since
-    /// the last [`reset_stages`](Self::reset_stages).
-    pub fn stages(&self) -> StageBreakdown {
-        self.stages
-    }
-
-    /// Starts a new stage-timing window.
-    pub fn reset_stages(&mut self) {
-        self.stages.reset();
     }
 }
 
@@ -396,6 +357,62 @@ mod tests {
             2
         );
         assert!(s.histogram(names::CODEC_ENCODE_BYTES).unwrap().sum > 0);
+        // Sub-stages: one DWT and one quantize record per call, bitplane
+        // records per coded block.
+        assert_eq!(s.histogram(names::CODEC_ENCODE_DWT_NS).unwrap().count, 2);
+        assert_eq!(
+            s.histogram(names::CODEC_ENCODE_QUANTIZE_NS).unwrap().count,
+            2
+        );
+        assert_eq!(
+            s.histogram(names::CODEC_ENCODE_BITPLANE_NS).unwrap().count,
+            2
+        );
+        assert_eq!(s.histogram(names::CODEC_DECODE_DWT_NS).unwrap().count, 4);
+        assert!(s.histogram(names::CODEC_DECODE_BITPLANE_NS).unwrap().count >= 4);
+        assert!(
+            s.histogram(names::CODEC_DECODE_DEQUANTIZE_NS)
+                .unwrap()
+                .count
+                >= 4
+        );
+    }
+
+    #[test]
+    fn disabled_arenas_read_no_clock() {
+        use crate::{decode_with_scratch, encode_roi_with_scratch, CodecConfig, FormatVersion};
+        use earthplus_raster::{Raster, TileGrid, TileMask};
+        use earthplus_telemetry::{clock_reads, MetricsRegistry};
+
+        let band = Raster::from_fn(128, 128, |x, y| ((x * 7 + y * 3) % 29) as f32 / 29.0);
+        let grid = TileGrid::new(128, 128, 64).unwrap();
+        let mut all = TileMask::new(&grid);
+        all.fill();
+        let config = CodecConfig::lossy().with_format(FormatVersion::Epc2);
+        let full_band = |enc: &mut CodecScratch, dec: &mut DecodeScratch| {
+            let roi = encode_roi_with_scratch(&band, &grid, &all, &config, 512, enc).unwrap();
+            assert_eq!(roi.decode_tiles_with_scratch(dec).unwrap().len(), 4);
+            let whole = crate::encode(&band, &config).unwrap();
+            decode_with_scratch(&whole, dec).unwrap();
+        };
+
+        let (mut enc, mut dec) = (CodecScratch::new(), DecodeScratch::new());
+        let reads = clock_reads();
+        full_band(&mut enc, &mut dec);
+        assert_eq!(
+            clock_reads() - reads,
+            0,
+            "disabled instrumentation read the clock"
+        );
+
+        // The same work on enabled arenas does read it (the counter sees
+        // the codec's guards).
+        let registry = MetricsRegistry::new();
+        enc.set_telemetry(&registry.sink());
+        dec.set_telemetry(&registry.sink());
+        let reads = clock_reads();
+        full_band(&mut enc, &mut dec);
+        assert!(clock_reads() - reads > 0);
     }
 
     #[test]

@@ -11,8 +11,8 @@ use earthplus_orbit::SatelliteId;
 use earthplus_raster::{
     psnr_from_mse, Band, IlluminationAligner, LocationId, Raster, TileGrid, TileMask,
 };
+use earthplus_telemetry::StageGuard;
 use std::collections::HashMap;
-use std::time::Instant;
 
 /// **Kodan** \[37\]: "drop low-value cloud data and download remaining
 /// non-cloudy areas".
@@ -56,12 +56,12 @@ impl CompressionStrategy for KodanStrategy {
         let mut timings = StageTimings::default();
 
         // Accurate on-board cloud detection (Kodan's expensive stage).
-        let t = Instant::now();
+        let stage = StageGuard::stopwatch();
         let (_, detection) = self
             .detector
             .detect(&capture.image)
             .expect("capture is tileable");
-        timings.cloud_s = t.elapsed().as_secs_f64();
+        timings.cloud_s = stage.finish().as_secs_f64();
         let cloudy_tiles = detection.tile_mask;
 
         let mut non_cloudy = TileMask::new(&grid);
@@ -74,10 +74,10 @@ impl CompressionStrategy for KodanStrategy {
         let mut mse_sum = 0.0;
         let mut mse_bands = 0u32;
         for (band, band_raster) in capture.image.iter() {
-            let t = Instant::now();
+            let stage = StageGuard::stopwatch();
             let roi = encode_roi(band_raster, &grid, &non_cloudy, &self.codec, budget)
                 .expect("image matches grid");
-            timings.encode_s += t.elapsed().as_secs_f64();
+            timings.encode_s += stage.finish().as_secs_f64();
             total_bytes += roi.size_bytes() as u64;
             band_bytes.push((band, roi.size_bytes() as u64));
             let belief = self.belief.belief_mut(ctx.location, band, w, h);
@@ -182,12 +182,12 @@ impl CompressionStrategy for SatRoiStrategy {
         let grid = TileGrid::new(w, h, self.config.tile_size).expect("capture is tileable");
         let mut timings = StageTimings::default();
 
-        let t = Instant::now();
+        let stage = StageGuard::stopwatch();
         let detection = self
             .cloud_detector
             .detect(&capture.image)
             .expect("capture is tileable");
-        timings.cloud_s = t.elapsed().as_secs_f64();
+        timings.cloud_s = stage.finish().as_secs_f64();
         let cloudy_tiles = detection.tile_mask;
 
         if detection.coverage > self.config.cloud_drop_threshold {
@@ -223,7 +223,7 @@ impl CompressionStrategy for SatRoiStrategy {
         for (band, band_raster) in capture.image.iter() {
             let key = (ctx.satellite, ctx.location, band);
             // Full-resolution change detection against the fixed reference.
-            let t = Instant::now();
+            let stage = StageGuard::stopwatch();
             let mut fresh_canonical = false;
             let mut alignment = earthplus_raster::AlignmentModel::identity();
             let changed = match self.references.get(&key) {
@@ -249,12 +249,12 @@ impl CompressionStrategy for SatRoiStrategy {
                     all
                 }
             };
-            timings.change_s += t.elapsed().as_secs_f64();
+            timings.change_s += stage.finish().as_secs_f64();
 
-            let t = Instant::now();
+            let stage = StageGuard::stopwatch();
             let roi = encode_roi(band_raster, &grid, &changed, &self.codec, budget)
                 .expect("image matches grid");
-            timings.encode_s += t.elapsed().as_secs_f64();
+            timings.encode_s += stage.finish().as_secs_f64();
             total_bytes += roi.size_bytes() as u64;
             band_bytes.push((band, roi.size_bytes() as u64));
             tile_fraction_sum += changed.count_set() as f64 / grid.tile_count() as f64;
@@ -396,10 +396,10 @@ impl CompressionStrategy for DownloadEverythingStrategy {
         let mut mse_sum = 0.0;
         let mut mse_bands = 0u32;
         for (band, band_raster) in capture.image.iter() {
-            let t = Instant::now();
+            let stage = StageGuard::stopwatch();
             let roi = encode_roi(band_raster, &grid, &all, &self.codec, budget)
                 .expect("image matches grid");
-            timings.encode_s += t.elapsed().as_secs_f64();
+            timings.encode_s += stage.finish().as_secs_f64();
             total_bytes += roi.size_bytes() as u64;
             band_bytes.push((band, roi.size_bytes() as u64));
             let belief = self.belief.belief_mut(ctx.location, band, w, h);

@@ -1,7 +1,7 @@
 //! Aggregation of simulation records into the paper's metrics.
 
 use crate::simulator::SimulationConfig;
-use crate::strategy::CaptureReport;
+use crate::strategy::{CaptureReport, StageTimings};
 use earthplus_orbit::CONTACT_DURATION_S;
 use earthplus_raster::PixelStats;
 
@@ -73,16 +73,18 @@ pub fn time_series(records: &[CaptureReport]) -> Vec<(f64, f64, Option<f64>)> {
 }
 
 /// Mean per-stage runtimes over delivered captures (Figure 16).
-pub fn mean_timings(records: &[CaptureReport]) -> crate::strategy::StageTimings {
-    let delivered: Vec<&CaptureReport> = records.iter().filter(|r| !r.dropped).collect();
-    if delivered.is_empty() {
+pub fn mean_timings(records: &[CaptureReport]) -> StageTimings {
+    let kept: Vec<&CaptureReport> = records.iter().filter(|r| !r.dropped).collect();
+    if kept.is_empty() {
         return Default::default();
     }
-    let n = delivered.len() as f64;
-    crate::strategy::StageTimings {
-        cloud_s: delivered.iter().map(|r| r.timings.cloud_s).sum::<f64>() / n,
-        change_s: delivered.iter().map(|r| r.timings.change_s).sum::<f64>() / n,
-        encode_s: delivered.iter().map(|r| r.timings.encode_s).sum::<f64>() / n,
+    let n = kept.len() as f64;
+    let mean = |f: fn(&StageTimings) -> f64| kept.iter().map(|r| f(&r.timings)).sum::<f64>() / n;
+    StageTimings {
+        cloud_s: mean(|t| t.cloud_s),
+        change_s: mean(|t| t.change_s),
+        encode_s: mean(|t| t.encode_s),
+        ground_patch_s: mean(|t| t.ground_patch_s),
     }
 }
 
@@ -94,7 +96,6 @@ pub fn reference_age_stats(records: &[CaptureReport]) -> PixelStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::strategy::StageTimings;
     use earthplus_orbit::{LinkModel, SatelliteId};
     use earthplus_raster::LocationId;
 

@@ -9,7 +9,7 @@ use earthplus_telemetry::{Snapshot, TraceId};
 use std::collections::HashMap;
 
 /// Wall-clock time spent in each on-board stage for one capture (the
-/// quantities of Figure 16).
+/// quantities of Figure 16), plus the ground-side patch.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct StageTimings {
     /// Cloud-detection seconds.
@@ -18,10 +18,12 @@ pub struct StageTimings {
     pub change_s: f64,
     /// Encoding seconds.
     pub encode_s: f64,
+    /// Ground-side decode + belief-patch seconds (Earth+ times it inline).
+    pub ground_patch_s: f64,
 }
 
 impl StageTimings {
-    /// Total on-board processing time.
+    /// Total on-board processing time (excludes the ground-side patch).
     pub fn total_s(&self) -> f64 {
         self.cloud_s + self.change_s + self.encode_s
     }
@@ -224,8 +226,12 @@ mod tests {
             cloud_s: 0.1,
             change_s: 0.2,
             encode_s: 0.3,
+            ground_patch_s: 0.4,
         };
-        assert!((t.total_s() - 0.6).abs() < 1e-12);
+        assert!(
+            (t.total_s() - 0.6).abs() < 1e-12,
+            "ground work is not on board"
+        );
     }
 
     #[test]

@@ -28,9 +28,11 @@ use earthplus_ground::{
 };
 use earthplus_orbit::SatelliteId;
 use earthplus_raster::{psnr_from_mse, Band, LocationId, TileGrid, TileMask};
-use earthplus_telemetry::{names, Histogram, Snapshot, TelemetrySink, TraceSink, TraceTrack};
+use earthplus_telemetry::{
+    names, Histogram, Snapshot, StageGuard, TelemetrySink, TraceSink, TraceTrack,
+};
 use std::collections::HashMap;
-use std::time::Instant;
+use std::time::Duration;
 
 /// The Earth+ system under simulation.
 ///
@@ -58,8 +60,8 @@ pub struct EarthPlusStrategy {
     // Telemetry: the sink shared with the ground service, plus the
     // per-stage histograms resolved from it once at construction. All of
     // them are no-op handles unless the caller wired a registry into the
-    // ground config, so the capture path pays one pointer check per stage
-    // when observability is off.
+    // ground config; the capture path's stage guards read the clock
+    // either way, because `StageTimings` reports the durations.
     sink: TelemetrySink,
     // Tracing: the capture path mints one TraceId per capture and opens an
     // ambient scope on the satellite's track, so the codec / ground /
@@ -213,19 +215,20 @@ impl CompressionStrategy for EarthPlusStrategy {
         capture_span.arg("location", ctx.location.0);
         capture_span.arg("cloud_fraction", capture.cloud_fraction);
 
-        // 1. Cheap on-board cloud detection.
-        let t = Instant::now();
-        let mut cloud_span = self.tracing.span("strategy", "cloud_detect");
+        // 1. Cheap on-board cloud detection. Guards here are timed whatever
+        // the sinks (`timings` exist with observability off); dropped
+        // captures paid for detection, so it records before the drop.
+        let mut cloud_stage = self
+            .tracing
+            .span("strategy", "cloud_detect")
+            .with_histogram(&self.stage_cloud_ns)
+            .timed();
         let detection = self
             .cloud_detector
             .detect(&capture.image)
             .expect("capture is tileable");
-        cloud_span.arg("detected_coverage", detection.coverage);
-        drop(cloud_span);
-        timings.cloud_s = t.elapsed().as_secs_f64();
-        // Dropped captures still paid for detection, so record before the
-        // drop decision.
-        self.stage_cloud_ns.record_secs(timings.cloud_s);
+        cloud_stage.arg("detected_coverage", detection.coverage);
+        timings.cloud_s = cloud_stage.finish().as_secs_f64();
         let cloudy_tiles = detection.tile_mask;
 
         // 2. Image dropping (> 50 % detected cloud).
@@ -272,15 +275,15 @@ impl CompressionStrategy for EarthPlusStrategy {
         let mut mse_bands = 0u32;
         let mut ref_age_sum = 0.0f64;
         let mut ref_age_n = 0u32;
-        let mut ground_patch_s = 0.0f64;
+        // Per-band stage times, summed exactly: one record per capture.
+        let [mut change, mut encode, mut ground_patch] = [Duration::ZERO; 3];
 
         for (band, band_raster) in capture.image.iter() {
             // 4. Change detection against the cached reference. The fitted
             // illumination model (reference radiometry -> this capture's)
             // rides along: the ground inverts it to keep its belief mosaic
             // in one canonical illumination ([72]).
-            let t = Instant::now();
-            let mut change_span = self.tracing.span("strategy", "change_detect");
+            let mut change_stage = self.tracing.span("strategy", "change_detect").timed();
             let mut fresh_canonical = guaranteed;
             let mut alignment = earthplus_raster::AlignmentModel::identity();
             let changed = if guaranteed {
@@ -295,7 +298,7 @@ impl CompressionStrategy for EarthPlusStrategy {
                 {
                     Some(reference) => {
                         let age = reference.age_days(ctx.day);
-                        change_span.arg("reference_age_days", age);
+                        change_stage.arg("reference_age_days", age);
                         ref_age_sum += age;
                         ref_age_n += 1;
                         let detection = self
@@ -310,7 +313,7 @@ impl CompressionStrategy for EarthPlusStrategy {
                         // and this capture defines the canonical
                         // illumination.
                         fresh_canonical = true;
-                        change_span.arg("cold_cache", true);
+                        change_stage.arg("cold_cache", true);
                         let mut all = TileMask::new(&grid);
                         all.fill();
                         all.subtract(&cloudy_tiles);
@@ -318,12 +321,11 @@ impl CompressionStrategy for EarthPlusStrategy {
                     }
                 }
             };
-            change_span.arg("changed_tiles", changed.count_set());
-            drop(change_span);
-            timings.change_s += t.elapsed().as_secs_f64();
+            change_stage.arg("changed_tiles", changed.count_set());
+            change += change_stage.finish();
 
             // 5. ROI-encode the changed tiles at γ bits/pixel.
-            let t = Instant::now();
+            let encode_stage = StageGuard::stopwatch();
             let roi = encode_roi_with_scratch(
                 band_raster,
                 &grid,
@@ -333,7 +335,7 @@ impl CompressionStrategy for EarthPlusStrategy {
                 &mut self.codec_scratch,
             )
             .expect("image matches grid");
-            timings.encode_s += t.elapsed().as_secs_f64();
+            encode += encode_stage.finish();
             total_bytes += roi.size_bytes() as u64;
             band_bytes.push((band, roi.size_bytes() as u64));
             tile_fraction_sum += changed.count_set() as f64 / grid.tile_count() as f64;
@@ -341,14 +343,13 @@ impl CompressionStrategy for EarthPlusStrategy {
             // 6. Ground: decode, normalize tiles into the belief's
             // canonical illumination, patch, and score the rendered
             // reconstruction on non-cloudy tiles.
-            let t = Instant::now();
             // The decode + patch is ground-side work: move the ambient
             // track to the station for this step so the codec's decode
             // spans land on the ground timeline (the trace id rides along
             // unchanged).
             let ground_scope = self.tracing.scope(trace, TraceTrack::Station(0));
-            let mut patch_span = self.tracing.span("strategy", "ground.patch");
-            patch_span.arg("roi_bytes", roi.size_bytes() as u64);
+            let mut patch_stage = self.tracing.span("strategy", "ground.patch").timed();
+            patch_stage.arg("roi_bytes", roi.size_bytes() as u64);
             let belief = self.belief.belief_mut(ctx.location, band, w, h);
             let gain = if alignment.gain.abs() < 0.25 {
                 1.0
@@ -381,16 +382,18 @@ impl CompressionStrategy for EarthPlusStrategy {
                 mse_sum += mse;
                 mse_bands += 1;
             }
-            drop(patch_span);
+            ground_patch += patch_stage.finish();
             drop(ground_scope);
-            ground_patch_s += t.elapsed().as_secs_f64();
         }
 
         // One record per capture (all bands), mirroring the StageTimings
         // this report carries.
-        self.stage_change_ns.record_secs(timings.change_s);
-        self.stage_encode_ns.record_secs(timings.encode_s);
-        self.stage_ground_patch_ns.record_secs(ground_patch_s);
+        self.stage_change_ns.record_duration(change);
+        self.stage_encode_ns.record_duration(encode);
+        self.stage_ground_patch_ns.record_duration(ground_patch);
+        timings.change_s = change.as_secs_f64();
+        timings.encode_s = encode.as_secs_f64();
+        timings.ground_patch_s = ground_patch.as_secs_f64();
 
         if guaranteed {
             self.last_full.insert(ctx.location, ctx.day);

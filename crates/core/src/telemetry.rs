@@ -391,6 +391,7 @@ mod tests {
                 cloud_s: 1e-6,
                 change_s: 2e-6,
                 encode_s: 3e-6,
+                ground_patch_s: 4e-6,
             },
             band_bytes: Vec::new(),
             trace: earthplus_telemetry::TraceId::NONE,

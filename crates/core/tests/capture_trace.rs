@@ -12,7 +12,7 @@ use earthplus_cloud::{train_onboard_detector, TrainingConfig};
 use earthplus_ground::GroundServiceConfig;
 use earthplus_orbit::LinkModel;
 use earthplus_scene::large_constellation;
-use earthplus_telemetry::{MetricsRegistry, TraceEventKind};
+use earthplus_telemetry::{names, MetricsRegistry, TraceEventKind, TraceLog, TraceTrack};
 use std::collections::HashMap;
 use std::path::PathBuf;
 
@@ -166,5 +166,107 @@ fn one_capture_trace_spans_strategy_ground_codec_and_refstore() {
         assert!(explain.contains(lane), "explain misses {lane}:\n{explain}");
     }
 
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// Sums End − Begin of every span named `(lane, name)`, pairing each End
+/// with the innermost open Begin of the same name on its track.
+fn span_ns(log: &TraceLog, lane: &str, name: &str) -> (u64, u64) {
+    let mut open: HashMap<TraceTrack, Vec<u64>> = HashMap::new();
+    let (mut spans, mut total) = (0u64, 0u64);
+    for event in log
+        .events
+        .iter()
+        .filter(|e| e.lane == lane && e.name == name)
+    {
+        match event.kind {
+            TraceEventKind::Begin => open.entry(event.track).or_default().push(event.ts_ns),
+            TraceEventKind::End => {
+                let begin = open
+                    .get_mut(&event.track)
+                    .and_then(Vec::pop)
+                    .unwrap_or_else(|| panic!("{lane}/{name}: End without Begin"));
+                spans += 1;
+                total += event.ts_ns - begin;
+            }
+            TraceEventKind::Instant => {}
+        }
+    }
+    assert!(
+        open.values().all(Vec::is_empty),
+        "{lane}/{name}: unclosed spans"
+    );
+    (spans, total)
+}
+
+#[test]
+fn histograms_and_trace_spans_share_one_clock_reading() {
+    let root = test_dir("one-clock");
+    let mut dataset = large_constellation(5, 128);
+    dataset.duration_days = 10;
+    dataset.satellite_count = 4;
+    dataset.capture_cloud_filter = None;
+    let mut config = SimulationConfig::for_dataset(&dataset, 5);
+    config.eval_from_day = 40;
+    config.eval_days = 10;
+    config.uplink = LinkModel::doves_uplink();
+    let sim = MissionSimulator::from_dataset(&dataset, config);
+    let detector = train_onboard_detector(&sim.scenes()[0], &TrainingConfig::default());
+    let targets: Vec<_> = dataset
+        .locations
+        .iter()
+        .flat_map(|l| l.bands.iter().map(|&b| (l.location, b)))
+        .collect();
+    let registry = MetricsRegistry::new();
+    // Rings large enough that no Begin/End is evicted.
+    let recorder = FlightRecorder::with_capacity(1 << 20);
+    let ground = GroundServiceConfig::default()
+        .with_targets(targets)
+        .with_persistence(&root)
+        .with_telemetry(registry.sink())
+        .with_tracing(recorder.sink());
+    let mut strategy =
+        EarthPlusStrategy::with_ground_config(EarthPlusConfig::paper(), detector, ground);
+    let report = sim.run(&mut [&mut strategy]);
+    assert_eq!(recorder.dropped_events(), 0);
+    let log = recorder.log();
+    let snapshot = registry.snapshot();
+    let kept = report
+        .records("earth+")
+        .iter()
+        .filter(|c| !c.dropped)
+        .count() as u64;
+    assert!(kept > 0, "mission kept no capture");
+
+    // Sites whose one guard feeds both sinks: one record per span.
+    for (hist, lane, name) in [
+        (names::STAGE_CLOUD_NS, "strategy", "cloud_detect"),
+        (names::CODEC_ENCODE_EPC2_NS, "codec", "encode.epc2"),
+        (names::CODEC_DECODE_EPC2_NS, "codec", "decode.epc2"),
+        (names::GROUND_INGEST_NS, "ground", "ingest"),
+        (names::GROUND_PLAN_PASS_NS, "ground", "plan_pass"),
+        (names::REFSTORE_APPEND_NS, "refstore", "append"),
+    ] {
+        let h = snapshot
+            .histogram(hist)
+            .unwrap_or_else(|| panic!("{hist} missing"));
+        let (spans, span_total) = span_ns(&log, lane, name);
+        assert!(spans > 0, "{lane}/{name}: no spans");
+        assert_eq!(h.count, spans, "{hist}: one record per span");
+        assert_eq!(h.sum, span_total, "{hist} vs {lane}/{name} durations");
+    }
+    // Per-band spans summed into one record per kept capture.
+    for (hist, lane, name) in [
+        (names::STAGE_CHANGE_NS, "strategy", "change_detect"),
+        (names::STAGE_GROUND_PATCH_NS, "strategy", "ground.patch"),
+    ] {
+        let h = snapshot
+            .histogram(hist)
+            .unwrap_or_else(|| panic!("{hist} missing"));
+        let (spans, span_total) = span_ns(&log, lane, name);
+        assert!(spans >= kept, "{lane}/{name}: a span per band");
+        assert_eq!(h.count, kept, "{hist}: one record per kept capture");
+        assert_eq!(h.sum, span_total, "{hist} vs {lane}/{name} durations");
+    }
     let _ = std::fs::remove_dir_all(&root);
 }

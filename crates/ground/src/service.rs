@@ -20,9 +20,7 @@ use earthplus_codec::{DecodeScratch, EncodedImage};
 use earthplus_orbit::SatelliteId;
 use earthplus_raster::{Band, LocationId};
 use earthplus_refstore::{RecoveryReport, RefLogConfig, RefStoreError};
-use earthplus_telemetry::{
-    names, Counter, Gauge, Histogram, SpanTimer, TelemetrySink, TraceSink, TraceTrack,
-};
+use earthplus_telemetry::{names, Counter, Gauge, Histogram, TelemetrySink, TraceSink, TraceTrack};
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
@@ -435,14 +433,14 @@ impl GroundService {
     /// Admits one downlinked cloud-free reference; returns whether the
     /// store updated (freshest-wins).
     pub fn ingest_downlink(&self, reference: ReferenceImage) -> bool {
-        let _span = SpanTimer::start(&self.ingest_ns);
-        let mut trace = self
+        let mut stage = self
             .tracing
-            .span_on(TraceTrack::Station(0), "ground", "ingest");
+            .span_on(TraceTrack::Station(0), "ground", "ingest")
+            .with_histogram(&self.ingest_ns);
         let day = reference.captured_day;
         let accepted = self.store.offer(reference);
-        trace.arg("accepted", accepted);
-        trace.arg("captured_day", day);
+        stage.arg("accepted", accepted);
+        stage.arg("captured_day", day);
         if accepted {
             self.ingest_accepted.inc();
         } else {
@@ -471,11 +469,11 @@ impl GroundService {
         // Spans the whole path — partial decode, resample, store offer —
         // so `ground.ingest_encoded_ns` answers "what does an archive
         // backfill cost per capture".
-        let _span = SpanTimer::start(&self.ingest_encoded_ns);
-        let mut trace = self
+        let mut stage = self
             .tracing
-            .span_on(TraceTrack::Station(0), "ground", "ingest_encoded");
-        trace.arg("bytes", encoded.payload_len());
+            .span_on(TraceTrack::Station(0), "ground", "ingest_encoded")
+            .with_histogram(&self.ingest_encoded_ns);
+        stage.arg("bytes", encoded.payload_len());
         // Pop an arena and decode outside the lock: concurrent ingests
         // each get their own scratch instead of serializing on one.
         let mut scratch = self
@@ -545,13 +543,13 @@ impl GroundService {
     /// Plans a whole pass: every contact window of the constellation since
     /// the last planning round, scheduled as one staleness-weighted queue.
     pub fn plan_pass(&self, contacts: &[ContactWindow]) -> Vec<UplinkReport> {
-        let _span = SpanTimer::start(&self.plan_pass_ns);
-        let mut trace = self
+        let mut stage = self
             .tracing
-            .span_on(TraceTrack::Station(0), "ground", "plan_pass");
-        trace.arg("contacts", contacts.len());
+            .span_on(TraceTrack::Station(0), "ground", "plan_pass")
+            .with_histogram(&self.plan_pass_ns);
+        stage.arg("contacts", contacts.len());
         if let Some(first) = contacts.first() {
-            trace.arg("budget_bytes", first.budget_bytes);
+            stage.arg("budget_bytes", first.budget_bytes);
         }
         // Fault epoch first: drain the ship queues (pipelined mode; a
         // no-op otherwise), then let outage transitions (and their
@@ -617,9 +615,9 @@ impl GroundService {
         self.deltas_sent.add(sent);
         self.deltas_skipped.add(skipped);
         self.uplink_bytes_sent.add(bytes);
-        trace.arg("deltas_sent", sent);
-        trace.arg("deltas_skipped", skipped);
-        trace.arg("bytes_used", bytes);
+        stage.arg("deltas_sent", sent);
+        stage.arg("deltas_skipped", skipped);
+        stage.arg("bytes_used", bytes);
         let peak = caches.values().map(|c| c.size_bytes()).max().unwrap_or(0);
         self.peak_cache_bytes.set_max(peak);
         drop(caches);

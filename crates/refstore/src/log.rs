@@ -37,14 +37,13 @@ use crate::segment::{
     list_segments, scan_segment, segment_file_name, SegmentWriter, SEGMENT_HEADER_LEN,
 };
 use earthplus_telemetry::{
-    names, Counter, Gauge, Histogram, SpanTimer, TelemetrySink, TraceSink, TraceTrack,
+    names, Counter, Gauge, Histogram, StageGuard, TelemetrySink, TraceSink, TraceTrack,
 };
 use std::collections::{hash_map, HashMap};
 use std::fs::File;
 use std::io::{Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
 
 /// Cache of open read handles, one per segment file, so the read path does
 /// not reopen the file on every [`RefLog::get`] (the ROADMAP follow-up).
@@ -308,7 +307,7 @@ impl RefLog {
     /// Propagates I/O failures. Corruption is healed and reported, not
     /// returned as an error.
     pub fn open(dir: &Path, config: RefLogConfig) -> Result<(Self, RecoveryReport)> {
-        let replay_started = Instant::now();
+        let replay = StageGuard::stopwatch();
         std::fs::create_dir_all(dir)?;
         let mut report = RecoveryReport::default();
 
@@ -443,7 +442,7 @@ impl RefLog {
                 reported_dead_bytes: 0,
                 reported_live_bytes: 0,
                 tracing: TraceSink::default(),
-                replay_ns: replay_started.elapsed().as_nanos().min(u64::MAX as u128) as u64,
+                replay_ns: u64::try_from(replay.finish().as_nanos()).unwrap_or(u64::MAX),
             },
             report,
         ))
@@ -536,12 +535,12 @@ impl RefLog {
         // Spans only committed appends (freshness rejections write
         // nothing); includes segment rotation and any auto-compaction the
         // append triggers — that tail is real append latency to a caller.
-        let _span = SpanTimer::start(&self.append_ns);
-        let mut trace = self
+        let mut stage = self
             .tracing
-            .span_on(TraceTrack::Station(0), "refstore", "append");
-        trace.arg("payload_bytes", payload.len());
-        trace.arg("day", day);
+            .span_on(TraceTrack::Station(0), "refstore", "append")
+            .with_histogram(&self.append_ns);
+        stage.arg("payload_bytes", payload.len());
+        stage.arg("day", day);
         let frame = encode_frame(key, day, payload);
         if self.active.len + frame.len() as u64 > self.config.segment_max_bytes
             && self.active.len > SEGMENT_HEADER_LEN
@@ -895,12 +894,12 @@ impl RefLog {
     /// new ones are reclaimed via replay-and-recompact, see the module
     /// docs); after the rename, the retired segments are swept instead.
     pub fn compact(&mut self) -> Result<()> {
-        let _span = SpanTimer::start(&self.compaction_ns);
-        let mut trace = self
+        let mut stage = self
             .tracing
-            .span_on(TraceTrack::Station(0), "refstore", "compact");
-        trace.arg("reclaimable_bytes", self.dead_bytes);
-        trace.arg("live_records", self.index.len());
+            .span_on(TraceTrack::Station(0), "refstore", "compact")
+            .with_histogram(&self.compaction_ns);
+        stage.arg("reclaimable_bytes", self.dead_bytes);
+        stage.arg("live_records", self.index.len());
         self.begin_compaction()?;
         while !self
             .compaction_step(CompactionBudget::unbounded())?
@@ -991,25 +990,27 @@ impl RefLog {
                 ..CompactionStepReport::default()
             });
         };
-        let started = Instant::now();
-        let mut trace = self
+        // Timed whatever the sinks: the step's duration is part of its
+        // report, and its time budget is checked against the same start.
+        let mut stage = self
             .tracing
-            .span_on(TraceTrack::Station(0), "refstore", "compaction_step");
+            .span_on(TraceTrack::Station(0), "refstore", "compaction_step")
+            .timed();
         let mut report = CompactionStepReport::default();
         // An error drops `driver` here: outputs become unlisted
         // higher-id files that the next open replays benignly (losing
         // every equal-day tie to the originals) and then sweeps.
-        report.finished = self.drive_step(&mut driver, budget, started, &mut report)?;
+        report.finished = self.drive_step(&mut driver, budget, &stage, &mut report)?;
         if !report.finished {
             self.driver = Some(driver);
         }
-        report.step_ns = started.elapsed().as_nanos().min(u64::MAX as u128) as u64;
+        stage.arg("copied_bytes", report.copied_bytes);
+        stage.arg("finished", report.finished);
+        report.step_ns = u64::try_from(stage.finish().as_nanos()).unwrap_or(u64::MAX);
         self.step_ns.record(report.step_ns);
         self.steps.inc();
         self.compaction_steps += 1;
         self.max_step_copied_bytes = self.max_step_copied_bytes.max(report.copied_bytes);
-        trace.arg("copied_bytes", report.copied_bytes);
-        trace.arg("finished", report.finished);
         Ok(report)
     }
 
@@ -1018,7 +1019,7 @@ impl RefLog {
         &mut self,
         driver: &mut CompactionDriver,
         budget: CompactionBudget,
-        started: Instant,
+        stage: &StageGuard,
         report: &mut CompactionStepReport,
     ) -> Result<bool> {
         loop {
@@ -1071,7 +1072,7 @@ impl RefLog {
             report.copied_records += 1;
             report.copied_bytes += frame.len() as u64;
             if report.copied_bytes >= budget.max_bytes
-                || started.elapsed().as_micros() as u64 >= budget.max_micros
+                || stage.elapsed().as_micros() as u64 >= budget.max_micros
             {
                 return Ok(false);
             }
@@ -1243,6 +1244,38 @@ mod tests {
             "replayed index must be identical"
         );
         assert_eq!(log.stats().dead_bytes, stats_before.dead_bytes);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn non_utf8_manifest_falls_back_to_full_replay() {
+        let dir = test_dir("manifest-bitflip");
+        let (mut log, _) = RefLog::open(&dir, no_autocompact()).unwrap();
+        for generation in 0..3 {
+            for loc in 0..8u32 {
+                log.append(key(loc), generation as f64, &[generation as u8; 32])
+                    .unwrap();
+            }
+        }
+        log.compact().unwrap();
+        for loc in 0..4u32 {
+            log.append(key(loc), 7.0, &[7u8; 32]).unwrap();
+        }
+        let entries = log.index_entries();
+        drop(log);
+        let path = dir.join(crate::manifest::MANIFEST_NAME);
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[3] ^= 0x80;
+        std::fs::write(&path, bytes).unwrap();
+        let (log, report) = RefLog::open(&dir, no_autocompact()).unwrap();
+        assert!(!report.manifest_loaded, "a decayed manifest is not trusted");
+        assert_eq!(log.index_entries(), entries);
+        for loc in 0..8u32 {
+            let record = log.get(&key(loc)).unwrap().unwrap();
+            let day = if loc < 4 { 7.0 } else { 2.0 };
+            assert_eq!(record.day, day);
+            assert_eq!(record.payload, vec![day as u8; 32]);
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

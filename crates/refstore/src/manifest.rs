@@ -113,19 +113,21 @@ impl Manifest {
     /// Loads the manifest from `dir`.
     ///
     /// Returns `Ok(None)` when no manifest exists (a fresh or pre-manifest
-    /// store) **or** when the file fails validation — the caller then
+    /// store) **or** when the file fails validation (including bytes that
+    /// are not UTF-8) — the caller then
     /// falls back to a full-directory replay, which is always safe.
     ///
     /// # Errors
     ///
     /// Propagates I/O failures other than the file being absent.
     pub fn load(dir: &Path) -> Result<Option<Manifest>> {
-        let content = match std::fs::read_to_string(dir.join(MANIFEST_NAME)) {
+        // Bytes first: invalid UTF-8 is a failed validation, not an error.
+        let content = match std::fs::read(dir.join(MANIFEST_NAME)) {
             Ok(content) => content,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
             Err(e) => return Err(e.into()),
         };
-        Ok(Self::parse(&content))
+        Ok(std::str::from_utf8(&content).ok().and_then(Self::parse))
     }
 
     fn parse(content: &str) -> Option<Manifest> {
@@ -200,9 +202,14 @@ mod tests {
         };
         manifest.store(&dir, true).unwrap();
         let path = dir.join(MANIFEST_NAME);
-        let mut content = std::fs::read_to_string(&path).unwrap();
-        content = content.replace("segment 1", "segment 9");
-        std::fs::write(&path, content).unwrap();
+        let content = std::fs::read_to_string(&path).unwrap();
+        std::fs::write(&path, content.replace("segment 1", "segment 9")).unwrap();
+        assert_eq!(Manifest::load(&dir).unwrap(), None);
+        // A high-bit flip makes the file invalid UTF-8: still a failed
+        // validation, not an I/O error.
+        let mut bytes = content.into_bytes();
+        bytes[3] ^= 0x80;
+        std::fs::write(&path, bytes).unwrap();
         assert_eq!(Manifest::load(&dir).unwrap(), None);
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -15,9 +15,9 @@
 //!   names only) get-or-create table of metrics, and [`TelemetrySink`],
 //!   the handle instrumented code holds: disabled by default, backed by a
 //!   registry when observability is on.
-//! * [`span`] — [`SpanTimer`], an RAII stage timer recording elapsed
-//!   nanoseconds into a histogram on drop. A span over a disabled
-//!   histogram never reads the clock.
+//! * [`stage`] — [`StageGuard`], the one RAII stage timer: one clock
+//!   read per edge feeds a histogram and the flight recorder; with both
+//!   sinks disabled it reads no clock ([`clock_reads`] counts reads).
 //! * [`export`] — [`Snapshot`]: a point-in-time copy of every metric,
 //!   with [`Snapshot::delta`] for per-pass rates, a JSON-lines serializer
 //!   (`to_jsonl`), and an aligned human-readable table (`to_table`).
@@ -44,19 +44,21 @@
 //! # Example
 //!
 //! ```
-//! use earthplus_telemetry::{MetricsRegistry, SpanTimer};
+//! use earthplus_telemetry::{FlightRecorder, MetricsRegistry};
 //!
 //! let registry = MetricsRegistry::new();
 //! let sink = registry.sink();
 //! let encodes = sink.counter("codec.encode.count");
 //! let latency = sink.histogram("codec.encode_ns");
+//! let recorder = FlightRecorder::new();
 //! for _ in 0..10 {
-//!     let _span = SpanTimer::start(&latency);
+//!     let _stage = recorder.sink().span("codec", "encode").with_histogram(&latency);
 //!     encodes.inc();
 //! }
 //! let snapshot = registry.snapshot();
 //! assert_eq!(snapshot.counter("codec.encode.count"), Some(10));
 //! assert_eq!(snapshot.histogram("codec.encode_ns").unwrap().count, 10);
+//! assert_eq!(recorder.log().len(), 20);
 //! println!("{}", snapshot.to_table());
 //! ```
 
@@ -70,7 +72,7 @@ pub mod names;
 pub mod recorder;
 pub mod registry;
 pub mod series;
-pub mod span;
+pub mod stage;
 pub mod trace;
 
 pub use export::{humanize, json_escape, MetricSnapshot, MetricValue, Snapshot};
@@ -79,10 +81,10 @@ pub use health::{
     HealthVerdict,
 };
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, HISTOGRAM_BUCKETS};
-pub use recorder::{FlightRecorder, TraceScope, TraceSink, TraceSpan, DEFAULT_RING_CAPACITY};
+pub use recorder::{FlightRecorder, TraceScope, TraceSink, DEFAULT_RING_CAPACITY};
 pub use registry::{MetricsRegistry, TelemetrySink};
 pub use series::{SeriesMetric, SeriesRecorder, SeriesSpec, TelemetrySeries};
-pub use span::SpanTimer;
+pub use stage::{clock_reads, StageGuard};
 pub use trace::{TraceArg, TraceEvent, TraceEventKind, TraceId, TraceLog, TraceTrack, TraceValue};
 
 /// Hit fraction over all lookups; 0 when nothing was looked up.

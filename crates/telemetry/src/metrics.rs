@@ -202,8 +202,8 @@ impl Histogram {
         Histogram(Some(Arc::new(HistogramInner::new())))
     }
 
-    /// Whether recordings are kept. [`crate::SpanTimer`] checks this to
-    /// skip both clock reads when the histogram is disabled.
+    /// Whether recordings are kept. [`crate::StageGuard`] checks this to
+    /// skip both clock reads when no sink is enabled.
     #[inline]
     pub fn enabled(&self) -> bool {
         self.0.is_some()

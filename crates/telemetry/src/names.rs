@@ -32,6 +32,18 @@ pub const CODEC_DECODE_EPC1_NS: &str = "codec.decode.epc1_ns";
 pub const CODEC_DECODE_EPC2_NS: &str = "codec.decode.epc2_ns";
 /// Resolution-progressive (level-limited / LL-only) decode latency.
 pub const CODEC_DECODE_PARTIAL_NS: &str = "codec.decode.partial_ns";
+/// Forward DWT latency per encode call.
+pub const CODEC_ENCODE_DWT_NS: &str = "codec.encode.dwt_ns";
+/// Deadzone quantization latency per encode call.
+pub const CODEC_ENCODE_QUANTIZE_NS: &str = "codec.encode.quantize_ns";
+/// Bitplane coding latency per encode call (EPC2: the chunk loop).
+pub const CODEC_ENCODE_BITPLANE_NS: &str = "codec.encode.bitplane_ns";
+/// Inverse DWT latency per decode call.
+pub const CODEC_DECODE_DWT_NS: &str = "codec.decode.dwt_ns";
+/// Dequantization (+ output normalization) latency per block and call.
+pub const CODEC_DECODE_DEQUANTIZE_NS: &str = "codec.decode.dequantize_ns";
+/// Bitplane decoding latency per EPC1 tile / EPC2 subband chunk.
+pub const CODEC_DECODE_BITPLANE_NS: &str = "codec.decode.bitplane_ns";
 
 // --- ground service ---------------------------------------------------
 

@@ -14,6 +14,7 @@
 use crate::metrics::Counter;
 use crate::names;
 use crate::registry::MetricsRegistry;
+use crate::stage::{self, StageGuard};
 use crate::trace::{TraceArg, TraceEvent, TraceEventKind, TraceId, TraceLog, TraceTrack};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -25,7 +26,7 @@ pub const DEFAULT_RING_CAPACITY: usize = 65_536;
 
 /// The shared state behind one recorder and all its sinks.
 #[derive(Debug)]
-struct RecorderShared {
+pub(crate) struct RecorderShared {
     epoch: Instant,
     capacity: usize,
     next_trace: AtomicU64,
@@ -41,10 +42,10 @@ struct RecorderShared {
 }
 
 impl RecorderShared {
-    fn push(&self, track: TraceTrack, mut event: TraceEvent) {
+    pub(crate) fn push(&self, mut event: TraceEvent) {
         event.seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
         let mut tracks = self.tracks.lock().expect("flight recorder poisoned");
-        let ring = tracks.entry(track).or_default();
+        let ring = tracks.entry(event.track).or_default();
         if ring.len() >= self.capacity {
             ring.pop_front();
             self.dropped.inc();
@@ -53,8 +54,19 @@ impl RecorderShared {
         self.recorded.inc();
     }
 
-    fn now_ns(&self) -> u64 {
-        u64::try_from(self.epoch.elapsed().as_nanos()).unwrap_or(u64::MAX)
+    /// Nanoseconds from the recorder's epoch to `at`.
+    pub(crate) fn ts_ns(&self, at: Instant) -> u64 {
+        u64::try_from(at.saturating_duration_since(self.epoch).as_nanos()).unwrap_or(u64::MAX)
+    }
+
+    /// The track in the ambient scope.
+    pub(crate) fn ambient_track(&self) -> TraceTrack {
+        TraceTrack::decode(self.current_track.load(Ordering::Relaxed))
+    }
+
+    /// The trace id in the ambient scope.
+    pub(crate) fn ambient_trace(&self) -> TraceId {
+        TraceId(self.current_trace.load(Ordering::Relaxed))
     }
 }
 
@@ -83,7 +95,7 @@ impl FlightRecorder {
     pub fn with_capacity(per_track_capacity: usize) -> Self {
         FlightRecorder {
             shared: Arc::new(RecorderShared {
-                epoch: Instant::now(),
+                epoch: stage::now(),
                 capacity: per_track_capacity.max(1),
                 next_trace: AtomicU64::new(1),
                 next_seq: AtomicU64::new(0),
@@ -174,7 +186,7 @@ impl TraceSink {
     /// ([`TraceId::NONE`] when disabled or outside any scope).
     pub fn current(&self) -> TraceId {
         match &self.0 {
-            Some(s) => TraceId(s.current_trace.load(Ordering::Relaxed)),
+            Some(s) => s.ambient_trace(),
             None => TraceId::NONE,
         }
     }
@@ -182,7 +194,7 @@ impl TraceSink {
     /// The track currently in scope (station 0 when none was set).
     pub fn current_track(&self) -> TraceTrack {
         match &self.0 {
-            Some(s) => TraceTrack::decode(s.current_track.load(Ordering::Relaxed)),
+            Some(s) => s.ambient_track(),
             None => TraceTrack::Station(0),
         }
     }
@@ -202,58 +214,18 @@ impl TraceSink {
         }
     }
 
-    /// Opens a span on the ambient track/trace (see [`TraceSink::scope`]).
+    /// Opens a span on the ambient track/trace (see [`TraceSink::scope`]):
+    /// a [`StageGuard`] recording Begin now and End when it closes (chain
+    /// [`StageGuard::with_histogram`] to feed a histogram too).
     #[inline]
-    pub fn span(&self, lane: &'static str, name: &'static str) -> TraceSpan {
-        self.span_inner(None, lane, name)
+    pub fn span(&self, lane: &'static str, name: &'static str) -> StageGuard {
+        StageGuard::open(self.0.as_ref(), None, lane, name)
     }
 
     /// Opens a span on an explicit track, with the ambient trace.
     #[inline]
-    pub fn span_on(&self, track: TraceTrack, lane: &'static str, name: &'static str) -> TraceSpan {
-        self.span_inner(Some(track), lane, name)
-    }
-
-    fn span_inner(
-        &self,
-        track: Option<TraceTrack>,
-        lane: &'static str,
-        name: &'static str,
-    ) -> TraceSpan {
-        let Some(shared) = &self.0 else {
-            return TraceSpan {
-                shared: None,
-                track: TraceTrack::Station(0),
-                trace: TraceId::NONE,
-                lane,
-                name,
-                args: Vec::new(),
-            };
-        };
-        let track = track
-            .unwrap_or_else(|| TraceTrack::decode(shared.current_track.load(Ordering::Relaxed)));
-        let trace = TraceId(shared.current_trace.load(Ordering::Relaxed));
-        shared.push(
-            track,
-            TraceEvent {
-                seq: 0,
-                ts_ns: shared.now_ns(),
-                trace,
-                track,
-                lane,
-                name,
-                kind: TraceEventKind::Begin,
-                args: Vec::new(),
-            },
-        );
-        TraceSpan {
-            shared: Some(shared.clone()),
-            track,
-            trace,
-            lane,
-            name,
-            args: Vec::new(),
-        }
+    pub fn span_on(&self, track: TraceTrack, lane: &'static str, name: &'static str) -> StageGuard {
+        StageGuard::open(self.0.as_ref(), Some(track), lane, name)
     }
 
     /// Records an instant event on the ambient track/trace. `args` are
@@ -283,21 +255,16 @@ impl TraceSink {
         args: &[TraceArg],
     ) {
         let Some(shared) = &self.0 else { return };
-        let track = track
-            .unwrap_or_else(|| TraceTrack::decode(shared.current_track.load(Ordering::Relaxed)));
-        shared.push(
-            track,
-            TraceEvent {
-                seq: 0,
-                ts_ns: shared.now_ns(),
-                trace: TraceId(shared.current_trace.load(Ordering::Relaxed)),
-                track,
-                lane,
-                name,
-                kind: TraceEventKind::Instant,
-                args: args.to_vec(),
-            },
-        );
+        shared.push(TraceEvent {
+            seq: 0,
+            ts_ns: shared.ts_ns(stage::now()),
+            trace: shared.ambient_trace(),
+            track: track.unwrap_or_else(|| shared.ambient_track()),
+            lane,
+            name,
+            kind: TraceEventKind::Instant,
+            args: args.to_vec(),
+        });
     }
 }
 
@@ -313,54 +280,6 @@ impl Drop for TraceScope {
         if let (Some(shared), Some((prev_trace, prev_track))) = (&self.sink.0, self.prev) {
             shared.current_trace.store(prev_trace, Ordering::Relaxed);
             shared.current_track.store(prev_track, Ordering::Relaxed);
-        }
-    }
-}
-
-/// An open trace span: records a Begin event when opened and an End
-/// event (carrying any [`TraceSpan::arg`]s accumulated along the way)
-/// when dropped. On a disabled sink the whole span is inert.
-#[derive(Debug)]
-pub struct TraceSpan {
-    shared: Option<Arc<RecorderShared>>,
-    track: TraceTrack,
-    trace: TraceId,
-    lane: &'static str,
-    name: &'static str,
-    args: Vec<TraceArg>,
-}
-
-impl TraceSpan {
-    /// Attaches a typed argument; it rides on the span's End event.
-    #[inline]
-    pub fn arg(&mut self, key: &'static str, value: impl Into<crate::trace::TraceValue>) {
-        if self.shared.is_some() {
-            self.args.push((key, value.into()));
-        }
-    }
-
-    /// The trace id this span records under.
-    pub fn trace(&self) -> TraceId {
-        self.trace
-    }
-}
-
-impl Drop for TraceSpan {
-    fn drop(&mut self) {
-        if let Some(shared) = &self.shared {
-            shared.push(
-                self.track,
-                TraceEvent {
-                    seq: 0,
-                    ts_ns: shared.now_ns(),
-                    trace: self.trace,
-                    track: self.track,
-                    lane: self.lane,
-                    name: self.name,
-                    kind: TraceEventKind::End,
-                    args: std::mem::take(&mut self.args),
-                },
-            );
         }
     }
 }
